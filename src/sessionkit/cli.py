@@ -36,10 +36,7 @@ class _Usage(Exception):
 
 
 def _load_type(path: str, name: str) -> ty.Type:
-    try:
-        return ty.parse_type(_read(path), name)
-    except ty.TypeError_ as e:
-        raise _Usage(str(e))
+    return ty.parse_type(_read(path), name)
 
 
 def _budget(args) -> relations.Budget:
@@ -152,10 +149,7 @@ def cmd_typecheck(args):
     src = _read(args.file)
     if args.sig:
         src = _read(args.sig) + "\n" + src
-    try:
-        prog = process.parse_program(src)
-    except process.ProcessError as e:
-        raise _Usage(str(e))
+    prog = process.parse_program(src)
     rep = measures.typecheck(prog, assume_cuts=args.assume,
                              budget=relations.Budget(max_pairs=args.budget))
     obj = {"status": rep.status, "reasons": rep.reasons,
@@ -172,10 +166,7 @@ def cmd_typecheck(args):
 
 
 def cmd_run(args):
-    try:
-        prog = process.parse_program(_read(args.file))
-    except process.ProcessError as e:
-        raise _Usage(str(e))
+    prog = process.parse_program(_read(args.file))
     if prog.main is None:
         raise _Usage("program has no main term to run")
     if args.scheduler == "random":
@@ -202,10 +193,7 @@ def cmd_run(args):
 
 
 def cmd_probe(args):
-    try:
-        prog = process.parse_program(_read(args.file))
-    except process.ProcessError as e:
-        raise _Usage(str(e))
+    prog = process.parse_program(_read(args.file))
     if prog.main is None:
         raise _Usage("program has no main term to probe")
     ok = runtime.is_weakly_terminating_probe(prog.main, prog.defs, args.budget)
@@ -354,10 +342,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except _Usage as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ty.TypeError_, process.ProcessError, measures.MeasureError) as e:
+    except (_Usage, ty.TypeError_, process.ProcessError, measures.MeasureError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -8,13 +8,16 @@ of the resulting equation system, found by Kleene iteration from zero;
 values exceeding the cap (2**20) diverge to Infinity, as do definitions
 still changing after the round limit.
 
-Type checking walks each definition against its declared signature,
-enforcing linearity (every channel consumed exactly once, ``done`` in an
-empty context, ``close x`` in exactly {x: end!}).  Side conditions become
-explicit obligations for the relation checker: a cut needs its two
-annotations to compose, a link ``link x y`` at {x: S, y: T} needs
-dual(S) <= T.  Obligations listed in ``assume_cuts`` are taken on trust and
-reported as Assumed.
+One walk over each definition does both jobs.  It checks the term against
+the declared signature, enforcing linearity (every channel consumed exactly
+once, ``done`` in an empty context, ``close x`` in exactly {x: end!}), and
+returns the term's measure as a function of the definition measures, which
+the Kleene iteration then evaluates without walking the term again.  A
+definition that fails to check has no measure.  Side conditions are recorded
+as obligations for the relation checker: a cut needs its two annotations to
+compose, a link ``link x y`` at {x: S, y: T} needs dual(S) <= T.
+``typecheck`` decides them after the walk; obligations listed in
+``assume_cuts`` are taken on trust and reported as Assumed.
 """
 
 from __future__ import annotations
@@ -44,69 +47,108 @@ def _cap(v):
     return INF if v > CAP else v
 
 
-def measure_of(term, ctx: dict, mu: dict):
-    """Measure of a term given channel types and definition measures."""
+def _walk(prog: pr.Program, term, ctx: dict, where: str, obligations: list):
+    """Check ``term`` in ``ctx`` and return its measure as a function of the
+    definition measures.  Side conditions are appended to ``obligations`` as
+    ``(kind, id, left, right, relation)``; failures raise MeasureError."""
     if isinstance(term, Done):
-        return 0
+        if ctx:
+            raise MeasureError(f"{where}: done with live channels {sorted(ctx)}")
+        return lambda mu: 0
     if isinstance(term, Close):
-        return 1
-    if isinstance(term, Link):
-        return 1
+        if term.x not in ctx or ctx[term.x].kind() != "one":
+            raise MeasureError(f"{where}: close {term.x} needs {term.x}: end!")
+        if set(ctx) != {term.x}:
+            extra = sorted(set(ctx) - {term.x})
+            raise MeasureError(f"{where}: close {term.x} with live channels {extra}")
+        return lambda mu: 1
     if isinstance(term, Wait):
-        return measure_of(term.cont, _without(ctx, term.x), mu)
+        _want(ctx, term.x, "bot", where)
+        rest = {k: v for k, v in ctx.items() if k != term.x}
+        return _walk(prog, term.cont, rest, where, obligations)
+    if isinstance(term, Link):
+        if set(ctx) != {term.x, term.y} or term.x == term.y:
+            raise MeasureError(f"{where}: link {term.x} {term.y} needs exactly "
+                               f"those two channels, context has {sorted(ctx)}")
+        obligations.append(("link", f"link-{term.x}-{term.y}",
+                            ty.dual(ctx[term.x]), ctx[term.y], "fairsub"))
+        return lambda mu: 1
     if isinstance(term, Select):
-        t = _want(ctx, term.x, "plus", term)
-        bs = _branches(t)
+        bs = _branches(_want(ctx, term.x, "plus", where))
         if term.tag not in bs:
-            raise MeasureError(f"tag {term.tag!r} not offered by the type of {term.x}")
+            raise MeasureError(f"{where}: tag {term.tag!r} not in the type of {term.x}")
         m, cont = bs[term.tag]
-        return _cap(1 + m + measure_of(term.cont, {**ctx, term.x: cont}, mu))
+        k = _walk(prog, term.cont, {**ctx, term.x: cont}, where, obligations)
+        return lambda mu: _cap(1 + m + k(mu))
     if isinstance(term, Case):
-        t = _want(ctx, term.x, "with", term)
-        bs = _branches(t)
+        bs = _branches(_want(ctx, term.x, "with", where))
         pbs = dict(term.branches)
-        best = 0
+        # the empty external choice types a case in any context
+        arms = []
         for tg, (m, cont) in bs.items():
             if tg not in pbs:
-                raise MeasureError(f"case on {term.x} misses branch {tg!r}")
-            v = measure_of(pbs[tg], {**ctx, term.x: cont}, mu)
-            best = max(best, max(0, v - m))
-        return _cap(best)
+                raise MeasureError(f"{where}: case on {term.x} misses branch {tg!r}")
+            arms.append((m, _walk(prog, pbs[tg], {**ctx, term.x: cont}, where,
+                                  obligations)))
+        return lambda mu: _cap(max([0, *(k(mu) - m for m, k in arms)]))
     if isinstance(term, Fork):
-        t = _want(ctx, term.x, "times", term)
+        t = _want(ctx, term.x, "times", where)
         pay, cont = t.at(t.body()[1]), t.at(t.body()[2])
-        gp, gq = _split(ctx, term.x, pr.free_names(term.payload) - {term.y})
-        return _cap(1 + measure_of(term.payload, {**gp, term.y: pay}, mu)
-                    + measure_of(term.cont, {**gq, term.x: cont}, mu))
+        need = pr.free_names(term.payload) - {term.y}
+        gp, gq = _split(ctx, term.x, need)
+        if need - set(gp):
+            raise MeasureError(f"{where}: payload of {term.x}!({term.y}) uses "
+                               f"unknown channels {sorted(need - set(gp))}")
+        kp = _walk(prog, term.payload, {**gp, term.y: pay}, where, obligations)
+        kc = _walk(prog, term.cont, {**gq, term.x: cont}, where, obligations)
+        return lambda mu: _cap(1 + kp(mu) + kc(mu))
     if isinstance(term, Join):
-        t = _want(ctx, term.x, "par", term)
+        t = _want(ctx, term.x, "par", where)
         pay, cont = t.at(t.body()[1]), t.at(t.body()[2])
-        return measure_of(term.cont, {**ctx, term.x: cont, term.y: pay}, mu)
+        if term.y in ctx:
+            raise MeasureError(f"{where}: received channel {term.y} shadows a live one")
+        return _walk(prog, term.cont, {**ctx, term.x: cont, term.y: pay}, where,
+                     obligations)
     if isinstance(term, Choice):
-        return _cap(1 + min(measure_of(term.left, ctx, mu),
-                            measure_of(term.right, ctx, mu)))
+        kl = _walk(prog, term.left, ctx, where, obligations)
+        kr = _walk(prog, term.right, ctx, where, obligations)
+        return lambda mu: _cap(1 + min(kl(mu), kr(mu)))
     if isinstance(term, Cut):
-        gl, gr = _split(ctx, None, pr.free_names(term.left) - {term.x})
-        return _cap(measure_of(term.left, {**gl, term.x: term.left_type}, mu)
-                    + measure_of(term.right, {**gr, term.x: term.right_type}, mu))
+        need = pr.free_names(term.left) - {term.x}
+        gl, gr = _split(ctx, None, need)
+        if need - set(gl):
+            raise MeasureError(f"{where}: cut on {term.x} uses unknown channels "
+                               f"{sorted(need - set(gl))}")
+        obligations.append(("cut", term.cut_id, term.left_type, term.right_type,
+                            "compose"))
+        kl = _walk(prog, term.left, {**gl, term.x: term.left_type}, where, obligations)
+        kr = _walk(prog, term.right, {**gr, term.x: term.right_type}, where, obligations)
+        return lambda mu: _cap(kl(mu) + kr(mu))
     if isinstance(term, Call):
-        return mu.get(term.name, 0)
-    raise MeasureError(f"not a term: {term!r}")
+        sig = prog.sigs.get(term.name)
+        if sig is None:
+            raise MeasureError(f"{where}: call to {term.name!r} without a signature")
+        if len(term.args) != len(sig) or len(set(term.args)) != len(term.args):
+            raise MeasureError(f"{where}: bad argument list for {term.name}")
+        if set(term.args) != set(ctx):
+            raise MeasureError(f"{where}: {term.name} call leaves channels "
+                               f"{sorted(set(ctx) ^ set(term.args))} unaccounted")
+        for a, (p, t) in zip(term.args, sig):
+            if not ty.equiv(ctx[a], t):
+                raise MeasureError(f"{where}: channel {a} has the wrong type "
+                                   f"for parameter {p} of {term.name}")
+        name = term.name
+        return lambda mu: mu.get(name, 0)
+    raise MeasureError(f"{where}: not a term: {term!r}")
 
 
-def _want(ctx, x, kind, term):
+def _want(ctx, x, kind, where):
     if x not in ctx:
-        raise MeasureError(f"channel {x!r} not in context")
-    t = ctx[x]
-    if t.kind() != kind:
-        raise MeasureError(f"channel {x!r} has kind {t.kind()!r}, expected {kind!r}")
-    return t
-
-
-def _without(ctx, x):
-    if x not in ctx:
-        raise MeasureError(f"channel {x!r} not in context")
-    return {k: v for k, v in ctx.items() if k != x}
+        raise MeasureError(f"{where}: channel {x!r} not in context")
+    if ctx[x].kind() != kind:
+        raise MeasureError(f"{where}: channel {x!r} has kind {ctx[x].kind()!r}, "
+                           f"expected {kind!r}")
+    return ctx[x]
 
 
 def _split(ctx, drop, left_names):
@@ -116,34 +158,37 @@ def _split(ctx, drop, left_names):
     return gl, gr
 
 
-def infer_measures(prog: pr.Program) -> dict:
-    """Least fixed point of the definition measure equations."""
-    for name in prog.defs:
-        if name not in prog.sigs:
-            raise MeasureError(f"definition {name!r} has no signature")
-    mu = {name: 0 for name in prog.defs}
-    for round_ in range(ROUND_LIMIT + 1):
-        nxt = {}
-        for name, (params, body) in prog.defs.items():
-            ctx = dict(zip(params, (t for _, t in prog.sigs[name])))
-            nxt[name] = _cap(measure_of(body, ctx, mu))
+def _walk_def(prog: pr.Program, name: str, obligations: list):
+    params, body = prog.defs[name]
+    sig = prog.sigs.get(name)
+    if sig is None:
+        raise MeasureError(f"def {name}: missing signature")
+    if len(sig) != len(params):
+        raise MeasureError(f"def {name}: signature arity mismatch")
+    ctx = dict(zip(params, (t for _, t in sig)))
+    return _walk(prog, body, ctx, f"def {name}", obligations)
+
+
+def _solve(equations: dict) -> dict:
+    """Least fixed point of ``name -> measure function`` by Kleene iteration."""
+    mu = {name: 0 for name in equations}
+    for _ in range(ROUND_LIMIT + 1):
+        nxt = {name: _cap(k(mu)) for name, k in equations.items()}
         if nxt == mu:
             return mu
         mu = nxt
     # still changing: the remaining growth is unbounded
-    nxt = {}
-    for name, (params, body) in prog.defs.items():
-        ctx = dict(zip(params, (t for _, t in prog.sigs[name])))
-        nxt[name] = measure_of(body, ctx, mu)
-    return {name: (mu[name] if nxt[name] == mu[name] else INF) for name in mu}
+    return {name: (mu[name] if k(mu) == mu[name] else INF)
+            for name, k in equations.items()}
+
+
+def infer_measures(prog: pr.Program) -> dict:
+    """Least fixed point of the definition measure equations."""
+    return _solve({name: _walk_def(prog, name, []) for name in prog.defs})
 
 
 # ---------------------------------------------------------------------------
 # type checking
-
-
-class TypecheckError(Exception):
-    pass
 
 
 @dataclass
@@ -163,137 +208,33 @@ class TypeReport:
 def typecheck(prog: pr.Program, assume_cuts=(), budget=None) -> TypeReport:
     budget = budget or relations.Budget()
     assume_cuts = set(assume_cuts)
-    reasons = []
-    obligations = []
-
-    def obligation(kind, ident, verdict):
-        obligations.append({"kind": kind, "id": ident, "verdict": verdict})
-
-    def walk(term, ctx, where):
-        if isinstance(term, Done):
-            if ctx:
-                raise TypecheckError(f"{where}: done with live channels {sorted(ctx)}")
-            return
-        if isinstance(term, Close):
-            if term.x not in ctx or ctx[term.x].kind() != "one":
-                raise TypecheckError(f"{where}: close {term.x} needs {term.x}: end!")
-            if set(ctx) != {term.x}:
-                extra = sorted(set(ctx) - {term.x})
-                raise TypecheckError(f"{where}: close {term.x} with live channels {extra}")
-            return
-        if isinstance(term, Wait):
-            t = _want_tc(ctx, term.x, "bot", where)
-            walk(term.cont, _without_tc(ctx, term.x, where), where)
-            return
-        if isinstance(term, Link):
-            if set(ctx) != {term.x, term.y} or term.x == term.y:
-                raise TypecheckError(f"{where}: link {term.x} {term.y} needs exactly "
-                                     f"those two channels, context has {sorted(ctx)}")
-            s, t = ctx[term.x], ctx[term.y]
-            v = relations.check(ty.dual(s), t, "fairsub", budget)
-            obligation("link", f"link-{term.x}-{term.y}", v.answer)
-            return
-        if isinstance(term, Select):
-            t = _want_tc(ctx, term.x, "plus", where)
-            bs = _branches(t)
-            if term.tag not in bs:
-                raise TypecheckError(f"{where}: tag {term.tag!r} not in the type of {term.x}")
-            walk(term.cont, {**ctx, term.x: bs[term.tag][1]}, where)
-            return
-        if isinstance(term, Case):
-            t = _want_tc(ctx, term.x, "with", where)
-            bs = _branches(t)
-            pbs = dict(term.branches)
-            if not bs:
-                return  # the empty external choice types a case in any context
-            for tg, (_, cont) in bs.items():
-                if tg not in pbs:
-                    raise TypecheckError(f"{where}: case on {term.x} misses branch {tg!r}")
-                walk(pbs[tg], {**ctx, term.x: cont}, where)
-            return
-        if isinstance(term, Fork):
-            t = _want_tc(ctx, term.x, "times", where)
-            pay, cont = t.at(t.body()[1]), t.at(t.body()[2])
-            need = pr.free_names(term.payload) - {term.y}
-            gp, gq = _split(ctx, term.x, need)
-            if need - set(gp):
-                raise TypecheckError(f"{where}: payload of {term.x}!({term.y}) uses "
-                                     f"unknown channels {sorted(need - set(gp))}")
-            walk(term.payload, {**gp, term.y: pay}, where)
-            walk(term.cont, {**gq, term.x: cont}, where)
-            return
-        if isinstance(term, Join):
-            t = _want_tc(ctx, term.x, "par", where)
-            pay, cont = t.at(t.body()[1]), t.at(t.body()[2])
-            if term.y in ctx:
-                raise TypecheckError(f"{where}: received channel {term.y} shadows a live one")
-            walk(term.cont, {**ctx, term.x: cont, term.y: pay}, where)
-            return
-        if isinstance(term, Choice):
-            walk(term.left, ctx, where)
-            walk(term.right, ctx, where)
-            return
-        if isinstance(term, Cut):
-            need = pr.free_names(term.left) - {term.x}
-            gl, gr = _split(ctx, None, need)
-            if need - set(gl):
-                raise TypecheckError(f"{where}: cut on {term.x} uses unknown channels "
-                                     f"{sorted(need - set(gl))}")
-            if term.cut_id in assume_cuts:
-                obligation("cut", term.cut_id, "assumed")
-            else:
-                v = relations.check(term.left_type, term.right_type, "compose", budget)
-                obligation("cut", term.cut_id, v.answer)
-            walk(term.left, {**gl, term.x: term.left_type}, where)
-            walk(term.right, {**gr, term.x: term.right_type}, where)
-            return
-        if isinstance(term, Call):
-            sig = prog.sigs.get(term.name)
-            if sig is None:
-                raise TypecheckError(f"{where}: call to {term.name!r} without a signature")
-            if len(term.args) != len(sig) or len(set(term.args)) != len(term.args):
-                raise TypecheckError(f"{where}: bad argument list for {term.name}")
-            if set(term.args) != set(ctx):
-                raise TypecheckError(f"{where}: {term.name} call leaves channels "
-                                     f"{sorted(set(ctx) ^ set(term.args))} unaccounted")
-            for a, (p, t) in zip(term.args, sig):
-                if not ty.equiv(ctx[a], t):
-                    raise TypecheckError(f"{where}: channel {a} has the wrong type "
-                                         f"for parameter {p} of {term.name}")
-            return
-        raise TypecheckError(f"{where}: not a term: {term!r}")
-
-    measures = {}
-    try:
-        measures = infer_measures(prog)
-    except MeasureError as e:
-        reasons.append(f"measure inference: {e}")
-    for name, v in measures.items():
-        if v == INF:
-            reasons.append(f"def {name}: no finite measure")
-
-    for name, (params, body) in prog.defs.items():
-        sig = prog.sigs.get(name)
-        if sig is None:
-            reasons.append(f"def {name}: missing signature")
-            continue
-        if len(sig) != len(params):
-            reasons.append(f"def {name}: signature arity mismatch")
-            continue
-        ctx = dict(zip(params, (t for _, t in sig)))
+    errors = []
+    pending = []  # (kind, id, left, right, relation), in walk order
+    equations = {}
+    for name in prog.defs:
         try:
-            walk(body, ctx, f"def {name}")
-        except TypecheckError as e:
-            reasons.append(str(e))
+            equations[name] = _walk_def(prog, name, pending)
+        except MeasureError as e:
+            errors.append(str(e))
     if prog.main is not None:
         try:
-            walk(prog.main, {}, "main")
-        except TypecheckError as e:
-            reasons.append(str(e))
+            _walk(prog, prog.main, {}, "main", pending)
+        except MeasureError as e:
+            errors.append(str(e))
 
-    bad = [o for o in obligations if o["verdict"] == "no"]
-    for o in bad:
-        reasons.append(f"{o['kind']} {o['id']}: side condition fails")
+    measures = _solve(equations) if len(equations) == len(prog.defs) else {}
+    reasons = [f"def {name}: no finite measure"
+               for name, v in measures.items() if v == INF]
+    reasons += errors
+    obligations = []
+    for kind, ident, left, right, relation in pending:
+        if kind == "cut" and ident in assume_cuts:
+            verdict = "assumed"
+        else:
+            verdict = relations.check(left, right, relation, budget).answer
+        obligations.append({"kind": kind, "id": ident, "verdict": verdict})
+    reasons += [f"{o['kind']} {o['id']}: side condition fails"
+                for o in obligations if o["verdict"] == "no"]
     if reasons:
         status = "IllTyped"
     elif any(o["verdict"] in ("unknown", "assumed") for o in obligations):
@@ -301,16 +242,3 @@ def typecheck(prog: pr.Program, assume_cuts=(), budget=None) -> TypeReport:
     else:
         status = "WellTyped"
     return TypeReport(status, reasons, obligations, measures)
-
-
-def _want_tc(ctx, x, kind, where):
-    if x not in ctx:
-        raise TypecheckError(f"{where}: channel {x!r} not in context")
-    if ctx[x].kind() != kind:
-        raise TypecheckError(f"{where}: channel {x!r} has kind {ctx[x].kind()!r}, "
-                             f"expected {kind!r}")
-    return ctx[x]
-
-
-def _without_tc(ctx, x, where):
-    return {k: v for k, v in ctx.items() if k != x}

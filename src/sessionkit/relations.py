@@ -87,8 +87,17 @@ def _fo(t, d, mode):
     return [l for l in lts.enumerate_labels(t, d, mode) if l.is_first_order]
 
 
-def _chans(t, d, mode):
-    return [l for l in lts.enumerate_labels(t, d, mode) if not l.is_first_order]
+def _chans(t, d, mode, payload=None):
+    """Enabled channel labels of ``t``, plus a channel carrying ``payload`` if
+    ``t`` derives it: an empty choice derives every channel vacuously, but
+    ``enumerate_labels`` only offers the payloads in ``t``'s own table."""
+    ls = [l for l in lts.enumerate_labels(t, d, mode) if not l.is_first_order]
+    if payload is not None:
+        extra = lts.chan(d, payload)
+        if (all(l.key() != extra.key() for l in ls)
+                and lts.enabled(t, extra, mode)):
+            ls.append(extra)
+    return ls
 
 
 def _measure_note(responder: Type, l, mode: str) -> str | None:
@@ -133,13 +142,13 @@ def _expand_compose(S: Type, T: Type):
     for l in _chans(S, "out", "full"):
         S1, S2 = l.msg[1], lts.derivative(S, l)
         resp = [Response(lt, [(S1, lt.msg[1]), (S2, lts.derivative(T, lt))])
-                for lt in _chans(T, "in", "full")]
+                for lt in _chans(T, "in", "full", dual(S1))]
         chs.append(Challenge("send-chan-left", l, resp,
                              None if resp else "no channel input on the right"))
     for l in _chans(T, "out", "full"):
         T1, T2 = l.msg[1], lts.derivative(T, l)
         resp = [Response(ls, [(ls.msg[1], T1), (lts.derivative(S, ls), T2)])
-                for ls in _chans(S, "in", "full")]
+                for ls in _chans(S, "in", "full", dual(T1))]
         chs.append(Challenge("send-chan-right", l, resp,
                              None if resp else "no channel input on the left"))
     return pol_ok, chs
@@ -197,14 +206,14 @@ def _expand_sub(kind: str, S: Type, T: Type):
             resp = [Response(ls, [(ls.msg[1], lt.msg[1]),
                                   (lts.derivative(S, ls, resp_mode),
                                    lts.derivative(T, lt, chal))])
-                    for ls in _chans(S, "in", resp_mode)]
+                    for ls in _chans(S, "in", resp_mode, lt.msg[1])]
             chs.append(Challenge("receive-chan-sup", lt, resp,
                                  None if resp else "no channel input in candidate"))
         for ls in _chans(S, "out", chal):
             resp = [Response(lt, [(ls.msg[1], lt.msg[1]),
                                   (lts.derivative(S, ls, chal),
                                    lts.derivative(T, lt, resp_mode))])
-                    for lt in _chans(T, "out", resp_mode)]
+                    for lt in _chans(T, "out", resp_mode, ls.msg[1])]
             chs.append(Challenge("send-chan-sub", ls, resp,
                                  None if resp else "no channel output in supertype"))
     if bz and _fo(S, "out", "must"):

@@ -328,19 +328,11 @@ def enabled_redexes(c) -> list:
     return out
 
 
-def _replace_leaf(c, path, new):
-    if not path:
-        return new
-    if path[0] == "l":
-        return CutNode(c.chan, _replace_leaf(c.left, path[1:], new), c.right)
-    return CutNode(c.chan, c.left, _replace_leaf(c.right, path[1:], new))
-
-
 def step(c, r: Redex, fresh: _Fresh):
     if r.rule == "choice":
         th = _subtree(c, r.path)
         branch = th.guard.left if r.detail[0] == "left" else th.guard.right
-        return _replace_leaf(c, r.path, Thread(th.pending, branch))
+        return _replace(c, r.path, Thread(th.pending, branch))
 
     node = _subtree(c, r.path)
     x = node.chan
@@ -351,11 +343,11 @@ def step(c, r: Redex, fresh: _Fresh):
         other = node.right if side == "l" else node.left
         sth = _subtree(mine, spath)
         idx, _ = _first_item_on(sth, x)
-        mine = _replace_leaf(mine, spath,
+        mine = _replace(mine, spath,
                              Thread(sth.pending[:idx] + sth.pending[idx + 1:], sth.guard))
         rth = _subtree(other, rpath)
         cont = dict(rth.guard.branches)[tag]
-        other = _replace_leaf(other, rpath, Thread(rth.pending, cont))
+        other = _replace(other, rpath, Thread(rth.pending, cont))
         left, right = (mine, other) if side == "l" else (other, mine)
         return _replace(c, r.path, CutNode(x, left, right))
 
@@ -365,11 +357,11 @@ def step(c, r: Redex, fresh: _Fresh):
         other = node.right if side == "l" else node.left
         sth = _subtree(mine, spath)
         idx, item = _first_item_on(sth, x)
-        mine = _replace_leaf(mine, spath,
+        mine = _replace(mine, spath,
                              Thread(sth.pending[:idx] + sth.pending[idx + 1:], sth.guard))
         rth = _subtree(other, rpath)
         g = rth.guard  # Join(x, z, cont)
-        other = _replace_leaf(other, rpath,
+        other = _replace(other, rpath,
                               Thread(rth.pending,
                                      pr.rename(g.cont, {g.y: item.bound})))
         left, right = (mine, other) if side == "l" else (other, mine)
@@ -381,7 +373,7 @@ def step(c, r: Redex, fresh: _Fresh):
         side, rpath = r.detail
         other = node.right if side == "l" else node.left
         rth = _subtree(other, rpath)
-        other = _replace_leaf(other, rpath, Thread(rth.pending, rth.guard.cont))
+        other = _replace(other, rpath, Thread(rth.pending, rth.guard.cont))
         return _replace(c, r.path, other)
 
     if r.rule == "link":
@@ -475,10 +467,6 @@ class MinMeasure:
             return self.term_measure(branch)
 
         return min(redexes, key=lambda r: (choice_weight(r), r.path, str(r.detail)))
-
-
-SCHEDULERS = {"random": RandomScheduler, "fair": RoundRobinFair,
-              "minmeasure": MinMeasure}
 
 
 # ---------------------------------------------------------------------------

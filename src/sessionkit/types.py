@@ -335,7 +335,7 @@ def _tarjan(ids, succs):
 # surface syntax
 
 _TOKEN = re.compile(
-    r"\s*(?:(end!|end\?)|([A-Za-z_][A-Za-z0-9_]*)|(\d+)|([+&]\{|[{}@:,.()!?=])|(#[^\n]*))"
+    r"(end!|end\?)|([A-Za-z_][A-Za-z0-9_]*)|(\d+)|([+&]\{|[{}@:,.()!?=])|(#[^\n]*)"
 )
 
 _KEYWORDS = {"type"}
@@ -344,21 +344,17 @@ _KEYWORDS = {"type"}
 def _tokenize(src: str):
     toks = []
     pos = 0
-    while pos < len(src):
+    n = len(src)
+    while pos < n:
+        if src[pos].isspace():
+            pos += 1
+            continue
         m = _TOKEN.match(src, pos)
-        if not m or m.end() == pos and not src[pos:].strip():
-            if not src[pos:].strip():
-                break
+        if not m:
             raise TypeError_(f"bad character at offset {pos}: {src[pos]!r}")
-        if m.end() == m.start() + len(m.group(0)) and not m.group(0).strip():
-            pos = m.end()
-            continue
         pos = m.end()
-        if m.group(5):  # comment
-            continue
-        toks.append(m.group(1) or m.group(2) or m.group(3) or m.group(4))
-    if src[pos:].strip():
-        raise TypeError_(f"bad character at offset {pos}: {src[pos]!r}")
+        if not m.group(5):  # comment
+            toks.append(m.group(0))
     return toks
 
 

@@ -131,3 +131,10 @@ def test_usage_errors_exit_3(capsys, tmp_path):
     bad = tmp_path / "bad.st"
     bad.write_text("type S = +{")
     assert cli.main(["parse", str(bad)]) == 3
+    assert cli.main(["compose", str(bad), "S", "S"]) == 3
+    bad_prog = tmp_path / "bad.cap"
+    bad_prog.write_text("def A(x) = $")
+    for cmd in ("typecheck", "run", "probe"):
+        assert cli.main([cmd, str(bad_prog)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error: bad character at offset 11") == 3

@@ -105,8 +105,16 @@ def test_typecheck_link_obligation():
 
 
 def test_case_branch_missing_in_type():
-    prog = process.parse_program(
-        "type T = &{ a: end?, b: end? }\nsig A(x: T)\n"
-        "def A(x) = case x { a: wait x.done }")
-    with pytest.raises(measures.MeasureError):
-        measures.infer_measures(prog)
+    # a definition that does not type-check has no measure; the second input
+    # breaks linearity (x is never closed)
+    for src in ("type T = &{ a: end?, b: end? }\nsig A(x: T)\n"
+                "def A(x) = case x { a: wait x.done }",
+                "sig A(x: end!)\ndef A(x) = done"):
+        prog = process.parse_program(src)
+        with pytest.raises(measures.MeasureError) as err:
+            measures.infer_measures(prog)
+        rep = measures.typecheck(prog)
+        assert rep.status == "IllTyped"
+        assert rep.reasons == [str(err.value)]  # reported once, located
+        assert rep.reasons[0].startswith("def A: ")
+        assert rep.measures == {}

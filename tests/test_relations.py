@@ -47,9 +47,11 @@ def test_compose_mixed_polarity_examples():
 
 
 def test_compose_empty_choices():
-    decls = "type Z = +{}  type X = &{}  type P = +{ a: end! }  type N = &{ a: end? }"
+    decls = ("type Z = +{}  type X = &{}  type P = +{ a: end! }  type N = &{ a: end? }\n"
+             "type H = !(end!) . end!")
     assert check(decls, "Z", "N", "compose").answer == "yes"
     assert check(decls, "Z", "P", "compose").answer == "yes"  # 0 absorbs anything
+    assert check(decls, "Z", "H", "compose").answer == "yes"  # even unseen payloads
     assert check(decls, "X", "P", "compose").answer == "no"
     assert check(decls, "X", "Z", "compose").answer == "yes"
 
@@ -136,10 +138,15 @@ def test_zero_and_top_are_extremes():
     rng = random.Random(7)
     zero = ty.parse_type("type Z = +{}")
     top = ty.parse_type("type X = &{}")
-    for _ in range(10):
-        t = randgen.random_tractable(rng)
-        assert relations.check(zero, t, "fairsub").answer == "yes"
-        assert relations.check(t, top, "fairsub").answer == "yes"
+    ts = [randgen.random_tractable(rng) for _ in range(10)]
+    # channels whose payload occurs nowhere in the empty choice
+    ts += [ty.parse_expr("?(end!) . end?"), ty.parse_expr("!(end!) . end!")]
+    for t in ts:
+        for a, b in ((zero, t), (t, top)):
+            v = relations.check(a, b, "fairsub")
+            assert v.answer == "yes"
+            ok, why = relations.validate_witness("fairsub", v.witness)
+            assert ok, why
 
 
 def test_unknown_budget_and_monotone_stats():

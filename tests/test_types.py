@@ -44,6 +44,12 @@ def test_duplicate_tag_rejected():
         ty.parse_type("type S = +{ a: end!, a: end! }")
 
 
+def test_bad_character_offset():
+    # the offset points at the bad character, not at the space before it
+    with pytest.raises(ty.TypeError_, match=r"offset 19: '\$'"):
+        ty.parse_type("type S = +{ a: S } $")
+
+
 def test_unknown_name():
     with pytest.raises(ty.TypeError_):
         ty.parse_type("type S = end!", "T")
