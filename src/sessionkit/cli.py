@@ -19,8 +19,7 @@ EXIT_NO = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
 
-_REL_NAMES = {"fair": "fairsub", "sync": "syncsub", "async": "asyncsub",
-              "bzfair": "bzfairsub", "aux": "auxsub"}
+_REL_NAMES = {k.removesuffix("sub"): k for k in relations.SUB_KINDS}
 
 
 def _read(path: str) -> str:
@@ -205,7 +204,7 @@ def cmd_probe(args):
 def _load_machine(path: str) -> qm.QueueMachine:
     try:
         return qm.QueueMachine.from_json(json.loads(_read(path)))
-    except (ValueError, KeyError) as e:
+    except ValueError as e:
         raise _Usage(f"bad machine file: {e}")
 
 

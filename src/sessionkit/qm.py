@@ -44,8 +44,24 @@ class QueueMachine:
 
     @staticmethod
     def from_json(d: dict) -> "QueueMachine":
+        """Build and validate a machine; a ValueError names the bad key."""
+        if not isinstance(d, dict):
+            raise ValueError("a machine must be a JSON object")
+        for key in ("states", "sigma", "gamma"):
+            if not (isinstance(d.get(key), list)
+                    and all(isinstance(x, str) for x in d[key])):
+                raise ValueError(f"{key!r} must be a list of strings")
+        for key in ("dollar", "start"):
+            if not isinstance(d.get(key), str):
+                raise ValueError(f"{key!r} must be a string")
+        if not isinstance(d.get("delta"), dict):
+            raise ValueError("'delta' must be an object")
         delta = {}
         for k, v in d["delta"].items():
+            if (k.count(",") != 1 or not isinstance(v, list) or len(v) != 2
+                    or not all(isinstance(x, str) for x in v)):
+                raise ValueError(f"delta entry {k!r} must read "
+                                 '"state,symbol": ["state", "appended string"]')
             q, a = k.split(",")
             delta[(q, a)] = (v[0], v[1])
         m = QueueMachine(tuple(d["states"]), tuple(d["sigma"]), tuple(d["gamma"]),

@@ -14,26 +14,62 @@ twice:
 
 Budgets are monotone: growing them only turns unknowns into answers.
 
-Relation kinds:
+Relation kinds, with their challenge / response modes (``MODES``):
 
-- ``compose``    safe composition of the two endpoint types
-- ``fairsub``    fair asynchronous subtyping (full-mode challenges/responses)
-- ``syncsub``    synchronous subtyping (must-mode only, first-order)
-- ``asyncsub``   asynchronous subtyping (must challenges, inductive responses)
-- ``bzfairsub``  must/full subtyping with the output-reachability condition
-- ``auxsub``     must/full subtyping without that condition
+- ``compose``    full / full  safe composition of the two endpoint types
+- ``fairsub``    full / full  fair asynchronous subtyping
+- ``syncsub``    must / must  synchronous subtyping, first-order
+- ``asyncsub``   must / ind   asynchronous subtyping, first-order
+- ``bzfairsub``  must / full  first-order, with the output-reachability condition
+- ``auxsub``     must / full  first-order, without that condition
+
+``_expand`` plays every game from the clause table ``RULES``.  Composition
+plays send-left, send-right, send-chan-left and send-chan-right: outputs of
+one side answered by inputs of the other.  Subtyping plays receive-sup and
+send-sub, then receive-chan-sup and send-chan-sub, which first-order kinds
+skip; ``bzfairsub`` adds must-output-reachability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 
 from . import lts, types as ty
 from .types import Type, canonicalize, dual
 
-KINDS = ("compose", "fairsub", "syncsub", "asyncsub", "bzfairsub", "auxsub")
+# kind -> (game, challenge mode, response mode, first-order only?,
+#          output-reachability condition?)
+MODES = {
+    "compose": ("compose", "full", "full", False, False),
+    "fairsub": ("sub", "full", "full", False, False),
+    "syncsub": ("sub", "must", "must", True, False),
+    "asyncsub": ("sub", "must", "ind", True, False),
+    "bzfairsub": ("sub", "must", "full", True, True),
+    "auxsub": ("sub", "must", "full", True, False),
+}
 
-SUB_KINDS = ("fairsub", "syncsub", "asyncsub", "bzfairsub", "auxsub")
+# game -> clauses in the order they are played: (name, challenging side
+# (0 left, 1 right), challenge direction, response direction, channel
+# clause?, note when no channel answers).  The other side responds.
+RULES = {
+    "compose": (
+        ("send-left", 0, "out", "in", False, None),
+        ("send-right", 1, "out", "in", False, None),
+        ("send-chan-left", 0, "out", "in", True, "no channel input on the right"),
+        ("send-chan-right", 1, "out", "in", True, "no channel input on the left"),
+    ),
+    "sub": (
+        ("receive-sup", 1, "in", "in", False, None),
+        ("send-sub", 0, "out", "out", False, None),
+        ("receive-chan-sup", 1, "in", "in", True, "no channel input in candidate"),
+        ("send-chan-sub", 0, "out", "out", True, "no channel output in supertype"),
+    ),
+}
+
+KINDS = tuple(MODES)
+
+SUB_KINDS = tuple(k for k, m in MODES.items() if m[0] == "sub")
 
 
 @dataclass
@@ -83,23 +119,6 @@ class Verdict:
         return d
 
 
-def _fo(t, d, mode):
-    return [l for l in lts.enumerate_labels(t, d, mode) if l.is_first_order]
-
-
-def _chans(t, d, mode, payload=None):
-    """Enabled channel labels of ``t``, plus a channel carrying ``payload`` if
-    ``t`` derives it: an empty choice derives every channel vacuously, but
-    ``enumerate_labels`` only offers the payloads in ``t``'s own table."""
-    ls = [l for l in lts.enumerate_labels(t, d, mode) if not l.is_first_order]
-    if payload is not None:
-        extra = lts.chan(d, payload)
-        if (all(l.key() != extra.key() for l in ls)
-                and lts.enabled(t, extra, mode)):
-            ls.append(extra)
-    return ls
-
-
 def _measure_note(responder: Type, l, mode: str) -> str | None:
     """Distinguish a missing tag from a tag present under another measure."""
     if l.msg[0] != "tag":
@@ -116,54 +135,6 @@ def _measure_note(responder: Type, l, mode: str) -> str | None:
     return None
 
 
-def _first_order_only(t: Type) -> bool:
-    return all(t.nodes[n][0] not in ("times", "par") for n in t.reachable())
-
-
-def _expand_compose(S: Type, T: Type):
-    pol_ok = S.is_positive() or T.is_positive()
-    chs = []
-    for l in _fo(S, "out", "full"):
-        flip = lts.Label("in", l.msg)
-        resp, note = [], None
-        if lts.enabled(T, flip, "full"):
-            resp.append(Response(flip, [(lts.derivative(S, l), lts.derivative(T, flip))]))
-        else:
-            note = _measure_note(T, flip, "full")
-        chs.append(Challenge("send-left", l, resp, note))
-    for l in _fo(T, "out", "full"):
-        flip = lts.Label("in", l.msg)
-        resp, note = [], None
-        if lts.enabled(S, flip, "full"):
-            resp.append(Response(flip, [(lts.derivative(S, flip), lts.derivative(T, l))]))
-        else:
-            note = _measure_note(S, flip, "full")
-        chs.append(Challenge("send-right", l, resp, note))
-    for l in _chans(S, "out", "full"):
-        S1, S2 = l.msg[1], lts.derivative(S, l)
-        resp = [Response(lt, [(S1, lt.msg[1]), (S2, lts.derivative(T, lt))])
-                for lt in _chans(T, "in", "full", dual(S1))]
-        chs.append(Challenge("send-chan-left", l, resp,
-                             None if resp else "no channel input on the right"))
-    for l in _chans(T, "out", "full"):
-        T1, T2 = l.msg[1], lts.derivative(T, l)
-        resp = [Response(ls, [(ls.msg[1], T1), (lts.derivative(S, ls), T2)])
-                for ls in _chans(S, "in", "full", dual(T1))]
-        chs.append(Challenge("send-chan-right", l, resp,
-                             None if resp else "no channel input on the left"))
-    return pol_ok, chs
-
-
-_SUB_MODES = {
-    # kind -> (challenge mode, response mode, higher-order?, bz condition?)
-    "fairsub": ("full", "full", True, False),
-    "syncsub": ("must", "must", False, False),
-    "asyncsub": ("must", "ind", False, False),
-    "bzfairsub": ("must", "full", False, True),
-    "auxsub": ("must", "full", False, False),
-}
-
-
 def _must_reachable_outputs(T: Type) -> list:
     """Output labels must-enabled anywhere T can get by must-mode inputs."""
     seen = {T.key(): T}
@@ -171,9 +142,11 @@ def _must_reachable_outputs(T: Type) -> list:
     out = {}
     while queue:
         u = queue.pop(0)
-        for l in _fo(u, "out", "must"):
+        outs, ins = ([l for l in lts.enumerate_labels(u, d, "must") if l.is_first_order]
+                     for d in ("out", "in"))
+        for l in outs:
             out.setdefault(l.key(), l)
-        for l in _fo(u, "in", "must"):
+        for l in ins:
             v = lts.derivative(u, l, "must")
             if v.key() not in seen:
                 seen[v.key()] = v
@@ -181,55 +154,51 @@ def _must_reachable_outputs(T: Type) -> list:
     return list(out.values())
 
 
-def _expand_sub(kind: str, S: Type, T: Type):
-    chal, resp_mode, ho, bz = _SUB_MODES[kind]
-    pol_ok = S.is_positive() or not T.is_positive()
+def _expand(kind: str, S: Type, T: Type):
+    """Polarity and the challenges of ``kind``'s game at the pair (S, T)."""
+    game, chal, resp, first_order, reach = MODES[kind]
+    sides = (S, T)
+    labels = functools.cache(lambda side, d, mode:
+                             lts.enumerate_labels(sides[side], d, mode))
     chs = []
-    for l in _fo(T, "in", chal):
-        resp, note = [], None
-        if lts.enabled(S, l, resp_mode):
-            resp.append(Response(l, [(lts.derivative(S, l, resp_mode),
-                                      lts.derivative(T, l, chal))]))
-        else:
-            note = _measure_note(S, l, resp_mode)
-        chs.append(Challenge("receive-sup", l, resp, note))
-    for l in _fo(S, "out", chal):
-        resp, note = [], None
-        if lts.enabled(T, l, resp_mode):
-            resp.append(Response(l, [(lts.derivative(S, l, chal),
-                                      lts.derivative(T, l, resp_mode))]))
-        else:
-            note = _measure_note(T, l, resp_mode)
-        chs.append(Challenge("send-sub", l, resp, note))
-    if ho:
-        for lt in _chans(T, "in", chal):
-            resp = [Response(ls, [(ls.msg[1], lt.msg[1]),
-                                  (lts.derivative(S, ls, resp_mode),
-                                   lts.derivative(T, lt, chal))])
-                    for ls in _chans(S, "in", resp_mode, lt.msg[1])]
-            chs.append(Challenge("receive-chan-sup", lt, resp,
-                                 None if resp else "no channel input in candidate"))
-        for ls in _chans(S, "out", chal):
-            resp = [Response(lt, [(ls.msg[1], lt.msg[1]),
-                                  (lts.derivative(S, ls, chal),
-                                   lts.derivative(T, lt, resp_mode))])
-                    for lt in _chans(T, "out", resp_mode, ls.msg[1])]
-            chs.append(Challenge("send-chan-sub", ls, resp,
-                                 None if resp else "no channel output in supertype"))
-    if bz and _fo(S, "out", "must"):
+    for clause, c, cd, rd, is_chan, note in RULES[game]:
+        if is_chan and first_order:
+            continue
+        X, Y = sides[c], sides[1 - c]
+        for l in labels(c, cd, chal):
+            if l.is_first_order == is_chan:
+                continue  # the game's other clause plays this label
+            if is_chan:
+                # the same payload when both sides act alike, its dual when
+                # they face each other: an empty choice derives it vacuously
+                hint = lts.chan(rd, l.msg[1] if cd == rd else dual(l.msg[1]))
+                answers = [m for m in labels(1 - c, rd, resp) if not m.is_first_order]
+                if (all(m.key() != hint.key() for m in answers)
+                        and lts.enabled(Y, hint, resp)):
+                    answers.append(hint)
+                miss = note
+            else:
+                m = lts.Label(rd, l.msg)
+                answers = [m] if lts.enabled(Y, m, resp) else []
+                miss = None if answers else _measure_note(Y, m, resp)
+            after = lts.derivative(X, l, chal) if answers else None
+            rs = []
+            for m in answers:
+                # (challenger's part, responder's part), put as (left, right)
+                succs = [(l.msg[1], m.msg[1])] if is_chan else []
+                succs.append((after, lts.derivative(Y, m, resp)))
+                rs.append(Response(m, [p[::-1] if c else p for p in succs]))
+            chs.append(Challenge(clause, l, rs, None if rs else miss))
+    if reach and any(l.is_first_order for l in labels(0, "out", "must")):
         for tau in _must_reachable_outputs(T):
             if not lts.enabled(S, tau, "must"):
                 chs.append(Challenge(
                     "must-output-reachability", tau, [],
                     "supertype reaches this output over must inputs; "
                     "candidate cannot emit it now"))
+    # composition faces the right side's dual; subtyping compares it as is
+    pol_ok = S.is_positive() or T.is_positive() == (game == "compose")
     return pol_ok, chs
-
-
-def _expand(kind, S, T):
-    if kind == "compose":
-        return _expand_compose(S, T)
-    return _expand_sub(kind, S, T)
 
 
 # ---------------------------------------------------------------------------
@@ -242,21 +211,17 @@ def check(S: Type, T: Type, kind: str, budget: Budget | None = None) -> Verdict:
     b = budget or Budget()
     S, T = canonicalize(S), canonicalize(T)
     warnings = []
-    if kind in ("syncsub", "asyncsub", "bzfairsub", "auxsub"):
-        if not (_first_order_only(S) and _first_order_only(T)):
+    if MODES[kind][3]:
+        if any(t.nodes[n][0] in ("times", "par") for t in (S, T) for n in t.reachable()):
             raise ValueError(f"{kind} is defined for first-order types only")
         for side, t in (("left", S), ("right", T)):
             if not ty.is_fairly_terminating(t):
                 warnings.append(f"{side} input is not fairly terminating")
 
-    pairs = {}  # key -> record
     root = (S.key(), T.key())
+    pairs = {root: {"S": S, "T": T, "status": "pending"}}  # key -> record
     order = [root]
-    pairs[root] = {"S": S, "T": T, "status": "pending"}
-    qi = 0
-    while qi < len(order):
-        key = order[qi]
-        qi += 1
+    for key in order:  # grows as successors are discovered
         rec = pairs[key]
         if len(pairs) > b.max_pairs and key != root:
             continue  # stays pending -> frontier
@@ -264,9 +229,7 @@ def check(S: Type, T: Type, kind: str, budget: Budget | None = None) -> Verdict:
             rec["status"] = "frontier"
             continue
         pol_ok, chs = _expand(kind, rec["S"], rec["T"])
-        rec["status"] = "expanded"
-        rec["pol_ok"] = pol_ok
-        rec["challenges"] = chs
+        rec.update(status="expanded", pol_ok=pol_ok, challenges=chs)
         for ch in chs:
             for r in ch.responses:
                 keyed = []
@@ -324,7 +287,7 @@ def check(S: Type, T: Type, kind: str, budget: Budget | None = None) -> Verdict:
              "max_pairs": b.max_pairs}
 
     if root in pess:
-        witness = _extract_witness(pairs, order, root, pess)
+        witness = _extract_witness(pairs, root, pess)
         return Verdict(kind, "yes", witness=witness, stats=stats, warnings=warnings)
     if root not in opt:
         trace, reason = _extract_trace(pairs, root, removed)
@@ -334,19 +297,18 @@ def check(S: Type, T: Type, kind: str, budget: Budget | None = None) -> Verdict:
                    reason="budget exhausted before the game closed")
 
 
-def _extract_witness(pairs, order, root, good):
-    keep = {root}
-    queue = [root]
-    while queue:
-        key = queue.pop(0)
-        rec = pairs[key]
-        for ch in rec["challenges"]:
+def _extract_witness(pairs, root, good):
+    """The pairs the first surviving responses reach, root first, in BFS order."""
+    keep = [root]
+    kept = {root}
+    for key in keep:
+        for ch in pairs[key]["challenges"]:
             chosen = next(r for r in ch.responses
                           if all(s in good for s in r.succs))
             for s in chosen.succs:
-                if s not in keep:
-                    keep.add(s)
-                    queue.append(s)
+                if s not in kept:
+                    kept.add(s)
+                    keep.append(s)
     return [(pairs[k]["S"], pairs[k]["T"]) for k in keep]
 
 

@@ -44,50 +44,12 @@ class Thread:
     pending: tuple
     guard: object  # term
 
-    def key(self):
-        return ("thread", tuple(_item_key(i) for i in self.pending), _term_key(self.guard))
-
 
 @dataclass(frozen=True)
 class CutNode:
     chan: str
     left: object
     right: object
-
-    def key(self):
-        return ("cut", self.chan, self.left.key(), self.right.key())
-
-
-def _item_key(i):
-    if isinstance(i, TagOut):
-        return ("tag", i.chan, i.tag)
-    return ("chan", i.chan, i.bound, i.payload.key())
-
-
-def _term_key(t):
-    if isinstance(t, Done):
-        return ("done",)
-    if isinstance(t, Link):
-        return ("link", t.x, t.y)
-    if isinstance(t, Close):
-        return ("close", t.x)
-    if isinstance(t, Wait):
-        return ("wait", t.x, _term_key(t.cont))
-    if isinstance(t, Select):
-        return ("select", t.x, t.tag, _term_key(t.cont))
-    if isinstance(t, Case):
-        return ("case", t.x, tuple((tg, _term_key(q)) for tg, q in t.branches))
-    if isinstance(t, Fork):
-        return ("fork", t.x, t.y, _term_key(t.payload), _term_key(t.cont))
-    if isinstance(t, Join):
-        return ("join", t.x, t.y, _term_key(t.cont))
-    if isinstance(t, Choice):
-        return ("choice", _term_key(t.left), _term_key(t.right))
-    if isinstance(t, Cut):
-        return ("cut", t.x, _term_key(t.left), _term_key(t.right))
-    if isinstance(t, Call):
-        return ("call", t.name, t.args)
-    raise ProcessError(f"not a term: {t!r}")
 
 
 def config_free_names(c) -> frozenset:
@@ -522,7 +484,7 @@ def is_weakly_terminating_probe(c, defs=None, budget=2000) -> bool:
         c = to_configuration(c, defs, fresh)
     else:
         c = normalize(c, defs, fresh)
-    seen = {c.key()}
+    seen = {c}  # configurations compare and hash structurally
     queue = [c]
     explored = 0
     while queue and explored < budget:
@@ -532,8 +494,7 @@ def is_weakly_terminating_probe(c, defs=None, budget=2000) -> bool:
             return True
         for r in enabled_redexes(cur):
             nxt = normalize(step(cur, r, fresh), defs, fresh)
-            k = nxt.key()
-            if k not in seen:
-                seen.add(k)
+            if nxt not in seen:
+                seen.add(nxt)
                 queue.append(nxt)
     return False

@@ -340,6 +340,10 @@ _TOKEN = re.compile(
 
 _KEYWORDS = {"type"}
 
+# Type expressions nest at most this deep (each choice branch, payload and
+# continuation is one level); names give arbitrarily deep types.
+MAX_NESTING = 256
+
 
 def _tokenize(src: str):
     toks = []
@@ -378,7 +382,9 @@ class _Parser:
             raise TypeError_(f"expected {tok!r}, got {got!r}")
         return got
 
-    def type_expr(self):
+    def type_expr(self, depth=1):
+        if depth > MAX_NESTING:
+            raise TypeError_(f"type expression nested deeper than {MAX_NESTING} levels")
         t = self.peek()
         if t == "end!":
             self.next()
@@ -403,7 +409,7 @@ class _Parser:
                             raise TypeError_(f"expected a measure, got {n!r}")
                         m = int(n)
                     self.expect(":")
-                    branches.append((tag, m, self.type_expr()))
+                    branches.append((tag, m, self.type_expr(depth + 1)))
                     if self.peek() == ",":
                         self.next()
                         continue
@@ -416,10 +422,10 @@ class _Parser:
         if t in ("!", "?"):
             self.next()
             self.expect("(")
-            payload = self.type_expr()
+            payload = self.type_expr(depth + 1)
             self.expect(")")
             self.expect(".")
-            cont = self.type_expr()
+            cont = self.type_expr(depth + 1)
             return ("times" if t == "!" else "par", payload, cont)
         if t and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", t) and t not in _KEYWORDS:
             self.next()
@@ -447,51 +453,50 @@ def resolve(decls: dict, name: str) -> Type:
     """Build the automaton for ``name``, rejecting unguarded alias cycles."""
     if name not in decls:
         raise TypeError_(f"unknown type name {name!r}")
-    nodes = {}
+    shells = {}  # node id -> (constructor AST, child ids filled in later)
     name_node = {}
 
-    def alias_target(n, trail):
+    def alias_target(n):
         # follow bare-name chains; a cycle means an unguarded definition
-        if n in trail:
-            raise TypeError_(f"unguarded cycle through type name {n!r}")
-        if n not in decls:
-            raise TypeError_(f"unknown type name {n!r}")
-        ast = decls[n]
+        trail = set()
+        while True:
+            if n in trail:
+                raise TypeError_(f"unguarded cycle through type name {n!r}")
+            if n not in decls:
+                raise TypeError_(f"unknown type name {n!r}")
+            if decls[n][0] != "name":
+                return n
+            trail.add(n)
+            n = decls[n][1]
+
+    # Depth-first, children left to right: node ids and the first error
+    # reported are those of a recursive descent.  Each entry fills one slot.
+    root = [None]
+    stack = [(root, 0, ("name", name))]
+    while stack:
+        slot, i, ast = stack.pop()
         if ast[0] == "name":
-            return alias_target(ast[1], trail | {n})
-        return n
-
-    def build_name(n):
-        # alias_target already followed bare-name chains, so decls[n] below
-        # is a real constructor and loops tie back through the reserved id
-        n = alias_target(n, set())
-        if n in name_node:
-            return name_node[n]
-        nid = len(nodes)
-        nodes[nid] = None  # reserve before recursing so loops tie back here
-        name_node[n] = nid
-        nodes[nid] = body_of(decls[n])
-        return nid
-
-    def body_of(ast):
-        if ast[0] in ("one", "bot"):
-            return ast
+            n = alias_target(ast[1])
+            if n in name_node:  # loops tie back to the name's node
+                slot[i] = name_node[n]
+                continue
+            name_node[n] = len(shells)
+            ast = decls[n]
+        nid = slot[i] = len(shells)
+        subs = ([sub for _, _, sub in ast[1]] if ast[0] in ("plus", "with")
+                else list(ast[1:]) if ast[0] in ("times", "par") else [])
+        kids = [None] * len(subs)
+        shells[nid] = (ast, kids)
+        stack.extend((kids, j, sub) for j, sub in reversed(list(enumerate(subs))))
+    nodes = {}
+    for nid, (ast, kids) in shells.items():
         if ast[0] in ("plus", "with"):
-            return (ast[0], tuple((tg, m, alloc(sub)) for tg, m, sub in ast[1]))
-        return (ast[0], alloc(ast[1]), alloc(ast[2]))
-
-    def alloc(ast):
-        if ast[0] == "name":
-            return build_name(ast[1])
-        nid = len(nodes)
-        nodes[nid] = None
-        nodes[nid] = body_of(ast)
-        return nid
-
-    root = build_name(name)
-    if any(b is None for b in nodes.values()):
-        raise TypeError_("internal: unresolved node")
-    return canonicalize(Type(nodes, root))
+            nodes[nid] = (ast[0], tuple((tg, m, c) for (tg, m, _), c in zip(ast[1], kids)))
+        elif ast[0] in ("times", "par"):
+            nodes[nid] = (ast[0], *kids)
+        else:
+            nodes[nid] = ast
+    return canonicalize(Type(nodes, root[0]))
 
 
 def parse_type(src: str, name: str | None = None) -> Type:

@@ -150,4 +150,4 @@ def test_config_key_is_structural():
     prog = parse("sig O()\ndef O() = O() (+) done\nO()")
     a = runtime.to_configuration(prog.main, prog.defs)
     b = runtime.to_configuration(prog.main, prog.defs)
-    assert a.key() == b.key()
+    assert a is not b and a == b and hash(a) == hash(b)

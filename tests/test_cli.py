@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from sessionkit import cli, fixtures
+from sessionkit import types as ty
 
 
 @pytest.fixture
@@ -138,3 +142,43 @@ def test_usage_errors_exit_3(capsys, tmp_path):
         assert cli.main([cmd, str(bad_prog)]) == 3
     err = capsys.readouterr().err
     assert err.count("error: bad character at offset 11") == 3
+    good = fixtures.QM_COUNTDOWN
+    machines = [[good],  # a list, not an object
+                {**good, "delta": {"s,a": []}},
+                {**good, "delta": {"s,a": ["s", 5]}},
+                {**good, "delta": {"sa": ["s", ""]}}]
+    for i, m in enumerate(machines):
+        path = tmp_path / f"m{i}.json"
+        path.write_text(json.dumps(m))
+        assert cli.main(["qm-sim", str(path), "--input", "a"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error: bad machine file: ") == 4
+    assert "object" in err and "'s,a'" in err and "'sa'" in err
+
+
+def test_deep_types_exit_cleanly(capsys, tmp_path):
+    n = 2000
+    nested = tmp_path / "nested.st"
+    nested.write_text("type T = " + "+{ a: " * n + "end!" + " }" * n)
+    chain = tmp_path / "chain.st"
+    chain.write_text("".join(f"type T{i} = +{{ a: T{i + 1} }}\n" for i in range(n)))
+    assert cli.main(["parse", str(nested)]) == 3
+    assert cli.main(["parse", str(chain)]) == 3  # T2000 is never declared
+    err = capsys.readouterr().err
+    assert f"nested deeper than {ty.MAX_NESTING} levels" in err
+    assert "unknown type name 'T2000'" in err
+    chain.write_text("".join(f"type T{i} = +{{ a: T{(i + 1) % n} }}\n" for i in range(n)))
+    code, out = run(capsys, "dual", str(chain), "T0")
+    assert code == 0 and out.strip() == "type dual_T0 = &{ a: dual_T0 }"
+
+
+def test_witness_order_ignores_hash_seed(sat):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    outs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        outs.append(subprocess.run(
+            [sys.executable, "-m", "sessionkit.cli", "subtype", "--rel", "fair",
+             sat, "S", "U"], env=env, capture_output=True, text=True))
+    assert outs[0].returncode == 0 and "witness" in outs[0].stdout
+    assert outs[0].stdout == outs[1].stdout

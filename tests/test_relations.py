@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,6 +84,9 @@ def test_satellite_witness_small():
     v = check(fixtures.SATELLITE_TYPES, "S", "U", "fairsub")
     assert v.answer == "yes"
     assert len(v.witness) <= 6
+    root = (ty.parse_type(fixtures.SATELLITE_TYPES, "S"),
+            ty.parse_type(fixtures.SATELLITE_TYPES, "U"))
+    assert v.witness[0] == root
     ok, why = relations.validate_witness("fairsub", v.witness)
     assert ok, why
 
@@ -199,3 +203,26 @@ def test_definitive_verdicts_validate(t, seed):
     elif v.answer == "no":
         ok, why = relations.validate_counterexample(t, other, "fairsub", v.trace)
         assert ok, why
+
+
+MIRRORED = {"send-left": "send-sub", "send-right": "receive-sup",
+            "send-chan-left": "send-chan-sub", "send-chan-right": "receive-chan-sup"}
+
+
+def _shape(expansion, rename=lambda clause: clause):
+    pol_ok, chs = expansion
+    return pol_ok, Counter((rename(ch.clause), ch.label.msg[0], len(ch.responses))
+                           for ch in chs)
+
+
+@given(st.integers(0, 10**9), st.booleans(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_compose_mirrors_fairsub_against_dual(seed, higher_order, mutant):
+    # compose(S, T) faces T where fairsub(S, dual T) compares with dual T:
+    # every challenge has a mirror image with as many responses
+    rng = random.Random(seed)
+    S = randgen.random_tractable(rng, 6, higher_order=higher_order)
+    T = (randgen.mutate(rng, S) if mutant
+         else randgen.random_tractable(rng, 6, higher_order=higher_order))
+    assert (_shape(relations._expand("compose", S, T), MIRRORED.get)
+            == _shape(relations._expand("fairsub", S, ty.dual(T))))

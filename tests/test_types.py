@@ -55,6 +55,16 @@ def test_unknown_name():
         ty.parse_type("type S = end!", "T")
 
 
+def test_nesting_limit():
+    k = ty.MAX_NESTING - 1  # choices around the innermost end!
+    t = ty.parse_expr("+{ a: " * k + "end!" + " }" * k)
+    assert t.size() == ty.MAX_NESTING
+    assert ty.equiv(ty.parse_type(ty.render(t)), t)
+    assert ty.equiv(ty.parse_expr(ty.render_inline(t)), t)
+    with pytest.raises(ty.TypeError_, match="nested deeper"):
+        ty.parse_expr("+{ a: " * (k + 1) + "end!" + " }" * (k + 1))
+
+
 def test_higher_order_parse():
     t = ty.parse_type("type S = !(end!) . ?(end?) . end!")
     assert t.kind(t.root) == "times"
