@@ -85,7 +85,7 @@ def _print_verdict(args, v: relations.Verdict) -> int:
 
 def cmd_parse(args):
     decls = ty.parse_decls(_read(args.file))
-    resolved = {n: ty.resolve(decls, n) for n in decls}
+    resolved = ty.resolve_all(decls)
     if args.json:
         print(json.dumps({n: ty.to_json(t) for n, t in resolved.items()}, indent=2))
     else:

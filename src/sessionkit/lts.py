@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import types as ty
-from .types import Type, canonicalize, equiv
+from .types import Type
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,6 @@ class Label:
         return f"{arrow}({ty.render_inline(self.msg[1])})"
 
     def key(self):
-        if self.msg[0] == "chan":
-            return (self.direction, "chan", self.msg[1].key())
         return (self.direction, *self.msg)
 
     @property
@@ -57,7 +55,7 @@ def tag(direction: str, name: str, measure: int = 0) -> Label:
 
 
 def chan(direction: str, payload: Type) -> Label:
-    return Label(direction, ("chan", canonicalize(payload)))
+    return Label(direction, ("chan", payload))
 
 
 def parse_label(text: str, env: dict | None = None) -> Label:
@@ -100,10 +98,10 @@ def _axiom_target(t: Type, nid: int, l: Label):
             if tg == m[1] and mm == m[2]:
                 return c
     if k == "times" and d == "out" and m[0] == "chan":
-        if equiv(t.at(b[1]), m[1]):
+        if t.at(b[1]) == m[1]:
             return b[2]
     if k == "par" and d == "in" and m[0] == "chan":
-        if equiv(t.at(b[1]), m[1]):
+        if t.at(b[1]) == m[1]:
             return b[2]
     return None
 
@@ -132,13 +130,12 @@ _ENABLED_CACHE: dict = {}
 
 
 def enabled_nodes(t: Type, l: Label, mode: str) -> frozenset:
-    """Set of node ids of ``canonicalize(t)`` that derive ``l`` in ``mode``."""
-    t = canonicalize(t)
-    ck = (t.key(), l.key(), mode)
+    """Set of node ids of ``t`` that derive ``l`` in ``mode``."""
+    ck = (t, l, mode)
     hit = _ENABLED_CACHE.get(ck)
     if hit is not None:
         return hit
-    ids = t.reachable()
+    ids = range(t.size())
     ax = {n for n in ids if _axiom_target(t, n, l) is not None}
 
     def lfp(fair: bool) -> set:
@@ -186,7 +183,6 @@ def enabled_nodes(t: Type, l: Label, mode: str) -> frozenset:
 
 
 def enabled(t: Type, l: Label, mode: str = "full") -> bool:
-    t = canonicalize(t)
     return t.root in enabled_nodes(t, l, mode)
 
 
@@ -195,9 +191,9 @@ def derivative(t: Type, l: Label, mode: str = "full") -> Type | None:
 
     Built over a two-layer product: axiom nodes continue into the original
     table; buffering nodes continue into a copy where the action has been
-    pushed past the node into its continuations.
+    pushed past the node into its continuations.  The product's node ids are
+    ``("o" | "s", node)``; ``Type`` minimizes it.
     """
-    t = canonicalize(t)
     en = enabled_nodes(t, l, mode)
     if t.root not in en:
         return None
@@ -207,11 +203,10 @@ def derivative(t: Type, l: Label, mode: str = "full") -> Type | None:
         tgt = _axiom_target(t, n, l)
         return ("o", tgt) if tgt is not None else ("s", n)
 
+    root = ref(t.root)
     nodes = {}
-    queue = [ref(t.root)]
-    root = queue[0]
-    while queue:
-        key = queue.pop(0)
+    queue = [root]
+    for key in queue:  # grows as successors are discovered
         if key in nodes:
             continue
         layer, n = key
@@ -233,17 +228,7 @@ def derivative(t: Type, l: Label, mode: str = "full") -> Type | None:
             queue.extend(c for _, _, c in body[1])
         elif body[0] in ("times", "par"):
             queue.extend([body[1], body[2]])
-
-    renum = {k: i for i, k in enumerate(nodes)}
-    table = {}
-    for k, b in nodes.items():
-        if b[0] in ("plus", "with"):
-            table[renum[k]] = (b[0], tuple(sorted((tg, m, renum[c]) for tg, m, c in b[1])))
-        elif b[0] in ("times", "par"):
-            table[renum[k]] = (b[0], renum[b[1]], renum[b[2]])
-        else:
-            table[renum[k]] = b
-    return canonicalize(Type(table, renum[root]))
+    return Type(nodes, root)
 
 
 def enumerate_labels(t: Type, direction: str, mode: str = "full") -> list:
@@ -253,12 +238,10 @@ def enumerate_labels(t: Type, direction: str, mode: str = "full") -> list:
     automaton, and every payload type (deduplicated up to bisimilarity);
     no other label can be derived.
     """
-    t = canonicalize(t)
     cands = [star(direction)]
     seen_tags = set()
     seen_chans = set()
-    for n in t.reachable():
-        b = t.nodes[n]
+    for b in t.nodes:
         if b[0] in ("plus", "with"):
             for tg, m, _ in b[1]:
                 if (tg, m) not in seen_tags:
@@ -266,8 +249,8 @@ def enumerate_labels(t: Type, direction: str, mode: str = "full") -> list:
                     cands.append(tag(direction, tg, m))
         elif b[0] in ("times", "par"):
             p = t.at(b[1])
-            if p.key() not in seen_chans:
-                seen_chans.add(p.key())
+            if p not in seen_chans:
+                seen_chans.add(p)
                 cands.append(chan(direction, p))
     return [l for l in cands if t.root in enabled_nodes(t, l, mode)]
 
@@ -283,7 +266,6 @@ def fas_oracle(t: Type, l: Label) -> bool:
     emit outputs forever, and (b) every reachable state with no outputs left
     must input ``l`` directly.  Dually for output labels.
     """
-    t = canonicalize(t)
     own = "out" if l.direction == "in" else "in"
 
     def own_succs(n):

@@ -134,7 +134,7 @@ def _walk(prog: pr.Program, term, ctx: dict, where: str, obligations: list):
             raise MeasureError(f"{where}: {term.name} call leaves channels "
                                f"{sorted(set(ctx) ^ set(term.args))} unaccounted")
         for a, (p, t) in zip(term.args, sig):
-            if not ty.equiv(ctx[a], t):
+            if ctx[a] != t:
                 raise MeasureError(f"{where}: channel {a} has the wrong type "
                                    f"for parameter {p} of {term.name}")
         name = term.name

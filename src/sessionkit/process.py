@@ -392,12 +392,15 @@ def parse_program(src: str) -> Program:
                 raise ProcessError("more than one bare main term")
             main = p.term()
 
+    types = ty.resolve_all(type_asts)
+
     def resolve_ast(ast):
+        if ast[0] == "name" and ast[1] in types:
+            return types[ast[1]]
         decls = dict(type_asts)
         decls["__it__"] = ast
         return ty.resolve(decls, "__it__")
 
-    types = {n: resolve_ast(("name", n)) for n in type_asts}
     sigs = {n: tuple((x, resolve_ast(a)) for x, a in ps)
             for n, ps in sigs_raw.items()}
 

@@ -114,20 +114,19 @@ def queue_echo_type(m: QueueMachine) -> Type:
         branches.append((a, 0, nid))
         nid += 1
     nodes[0] = ("with", tuple(sorted(branches)))
-    return ty.canonicalize(Type(nodes, 0))
+    return Type(nodes, 0)
 
 
 def queue_type(m: QueueMachine, contents: str) -> Type:
     """Queue with the given contents: emit them front-first, then echo."""
-    echo = queue_echo_type(m)
-    nodes = dict(echo.nodes)
-    root = echo.root
+    nodes = dict(enumerate(queue_echo_type(m).nodes))
+    root = 0
     nid = len(nodes)
     for a in reversed(contents):
         nodes[nid] = ("plus", ((a, 0, root),))
         root = nid
         nid += 1
-    return ty.canonicalize(Type(nodes, root))
+    return Type(nodes, root)
 
 
 def control_type(m: QueueMachine, state: str | None = None) -> Type:
@@ -148,7 +147,7 @@ def control_type(m: QueueMachine, state: str | None = None) -> Type:
                 nid += 1
             branches.append((a, 0, tgt))
         nodes[state_node[q]] = ("with", tuple(sorted(branches)))
-    return ty.canonicalize(Type(nodes, state_node[state or m.start]))
+    return Type(nodes, state_node[state or m.start])
 
 
 def encode(m: QueueMachine, word: str) -> tuple[Type, Type]:

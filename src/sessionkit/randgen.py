@@ -37,19 +37,18 @@ def random_automaton(rng: random.Random, max_nodes: int = 8,
                  rng.randrange(n)) for t in tags)))
         else:
             nodes[i] = (k, rng.randrange(n), rng.randrange(n))
-    return ty.canonicalize(Type(nodes, 0))
+    return Type(nodes, 0)
 
 
 def closure_size(t: Type, max_types: int = 40, max_nodes: int = 40):
     """Number of distinct full-mode derivatives reachable from t (payloads
     included), or None if it exceeds the caps."""
-    seen = {}
-    queue = [ty.canonicalize(t)]
-    while queue:
-        cur = queue.pop(0)
-        if cur.key() in seen:
+    seen = set()
+    queue = [t]
+    for cur in queue:  # grows as derivatives are discovered
+        if cur in seen:
             continue
-        seen[cur.key()] = cur
+        seen.add(cur)
         if len(seen) > max_types or cur.size() > max_nodes:
             return None
         for d in ("in", "out"):
@@ -75,15 +74,14 @@ def random_tractable(rng: random.Random, max_nodes: int = 8,
 def mutate(rng: random.Random, t: Type) -> Type:
     """A structure-preserving tweak: drop an internal-choice branch or add an
     external-choice branch, the directions subtyping is covariant in."""
-    t = ty.canonicalize(t)
-    nodes = dict(t.nodes)
+    nodes = dict(enumerate(t.nodes))
     cands = [i for i, b in nodes.items() if b[0] == "plus" and len(b[1]) >= 2]
     if cands and rng.random() < 0.5:
         i = rng.choice(cands)
         bs = list(nodes[i][1])
         bs.pop(rng.randrange(len(bs)))
         nodes[i] = ("plus", tuple(bs))
-        return ty.canonicalize(Type(nodes, t.root))
+        return Type(nodes, t.root)
     cands = [i for i, b in nodes.items() if b[0] == "with"]
     if cands:
         i = rng.choice(cands)
@@ -92,5 +90,5 @@ def mutate(rng: random.Random, t: Type) -> Type:
         if free:
             bs[rng.choice(free)] = (0, t.root)
             nodes[i] = ("with", tuple(sorted((tg, m, c) for tg, (m, c) in bs.items())))
-            return ty.canonicalize(Type(nodes, t.root))
+            return Type(nodes, t.root)
     return t

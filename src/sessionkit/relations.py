@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import functools
 
 from . import lts, types as ty
-from .types import Type, canonicalize, dual
+from .types import Type, dual
 
 # kind -> (game, challenge mode, response mode, first-order only?,
 #          output-reachability condition?)
@@ -124,8 +124,7 @@ def _measure_note(responder: Type, l, mode: str) -> str | None:
     if l.msg[0] != "tag":
         return None
     name, m = l.msg[1], l.msg[2]
-    for n in responder.reachable():
-        b = responder.nodes[n]
+    for b in responder.nodes:
         if b[0] in ("plus", "with"):
             for tg, mm, _ in b[1]:
                 if tg == name and mm != m:
@@ -137,21 +136,20 @@ def _measure_note(responder: Type, l, mode: str) -> str | None:
 
 def _must_reachable_outputs(T: Type) -> list:
     """Output labels must-enabled anywhere T can get by must-mode inputs."""
-    seen = {T.key(): T}
     queue = [T]
+    seen = {T}
     out = {}
-    while queue:
-        u = queue.pop(0)
+    for u in queue:  # grows as derivatives are discovered
         outs, ins = ([l for l in lts.enumerate_labels(u, d, "must") if l.is_first_order]
                      for d in ("out", "in"))
         for l in outs:
-            out.setdefault(l.key(), l)
+            out.setdefault(l)
         for l in ins:
             v = lts.derivative(u, l, "must")
-            if v.key() not in seen:
-                seen[v.key()] = v
+            if v not in seen:
+                seen.add(v)
                 queue.append(v)
-    return list(out.values())
+    return list(out)
 
 
 def _expand(kind: str, S: Type, T: Type):
@@ -173,8 +171,7 @@ def _expand(kind: str, S: Type, T: Type):
                 # they face each other: an empty choice derives it vacuously
                 hint = lts.chan(rd, l.msg[1] if cd == rd else dual(l.msg[1]))
                 answers = [m for m in labels(1 - c, rd, resp) if not m.is_first_order]
-                if (all(m.key() != hint.key() for m in answers)
-                        and lts.enabled(Y, hint, resp)):
+                if hint not in answers and lts.enabled(Y, hint, resp):
                     answers.append(hint)
                 miss = note
             else:
@@ -209,38 +206,32 @@ def check(S: Type, T: Type, kind: str, budget: Budget | None = None) -> Verdict:
     if kind not in KINDS:
         raise ValueError(f"unknown relation kind {kind!r}")
     b = budget or Budget()
-    S, T = canonicalize(S), canonicalize(T)
     warnings = []
     if MODES[kind][3]:
-        if any(t.nodes[n][0] in ("times", "par") for t in (S, T) for n in t.reachable()):
+        if any(body[0] in ("times", "par") for t in (S, T) for body in t.nodes):
             raise ValueError(f"{kind} is defined for first-order types only")
         for side, t in (("left", S), ("right", T)):
             if not ty.is_fairly_terminating(t):
                 warnings.append(f"{side} input is not fairly terminating")
 
-    root = (S.key(), T.key())
-    pairs = {root: {"S": S, "T": T, "status": "pending"}}  # key -> record
+    root = (S, T)
+    pairs = {root: {"status": "pending"}}  # (Type, Type) -> record
     order = [root]
     for key in order:  # grows as successors are discovered
         rec = pairs[key]
         if len(pairs) > b.max_pairs and key != root:
             continue  # stays pending -> frontier
-        if rec["S"].size() > b.max_nodes_per_type or rec["T"].size() > b.max_nodes_per_type:
+        if key[0].size() > b.max_nodes_per_type or key[1].size() > b.max_nodes_per_type:
             rec["status"] = "frontier"
             continue
-        pol_ok, chs = _expand(kind, rec["S"], rec["T"])
+        pol_ok, chs = _expand(kind, *key)
         rec.update(status="expanded", pol_ok=pol_ok, challenges=chs)
         for ch in chs:
             for r in ch.responses:
-                keyed = []
-                for A, B in r.succs:
-                    A, B = canonicalize(A), canonicalize(B)
-                    k2 = (A.key(), B.key())
-                    keyed.append(k2)
-                    if k2 not in pairs:
-                        pairs[k2] = {"S": A, "T": B, "status": "pending"}
-                        order.append(k2)
-                r.succs = keyed
+                for pair in r.succs:
+                    if pair not in pairs:
+                        pairs[pair] = {"status": "pending"}
+                        order.append(pair)
     for rec in pairs.values():
         if rec["status"] == "pending":
             rec["status"] = "frontier"
@@ -309,7 +300,7 @@ def _extract_witness(pairs, root, good):
                 if s not in kept:
                     kept.add(s)
                     keep.append(s)
-    return [(pairs[k]["S"], pairs[k]["T"]) for k in keep]
+    return keep
 
 
 def _extract_trace(pairs, root, removed):
@@ -318,7 +309,7 @@ def _extract_trace(pairs, root, removed):
     reason = None
     for _ in range(len(pairs) + 1):
         rec = pairs[key]
-        pair_txt = [ty.render_inline(rec["S"]), ty.render_inline(rec["T"])]
+        pair_txt = [ty.render_inline(key[0]), ty.render_inline(key[1])]
         seq, cause = removed[key]
         if cause == "polarity":
             steps.append({"pair": pair_txt, "clause": "polarity", "label": None,
@@ -349,8 +340,7 @@ def _extract_trace(pairs, root, removed):
         steps.append({"pair": pair_txt, "clause": ch.clause, "label": ch.label,
                       "response": r.label,
                       "_next_key": nxt,
-                      "next": [ty.render_inline(pairs[nxt]["S"]),
-                               ty.render_inline(pairs[nxt]["T"])]})
+                      "next": [ty.render_inline(nxt[0]), ty.render_inline(nxt[1])]})
         key = nxt
     return steps, reason
 
@@ -361,16 +351,13 @@ def _extract_trace(pairs, root, removed):
 
 def validate_witness(kind: str, members: list) -> tuple[bool, str | None]:
     """Check clause-closure of a claimed witness set of (Type, Type) pairs."""
-    keys = {(canonicalize(a).key(), canonicalize(b).key()) for a, b in members}
+    keys = {(a, b) for a, b in members}
     for a, b in members:
-        a, b = canonicalize(a), canonicalize(b)
         pol_ok, chs = _expand(kind, a, b)
         if not pol_ok:
             return False, f"polarity fails at ({ty.render_inline(a)}, {ty.render_inline(b)})"
         for ch in chs:
-            ok = any(all((canonicalize(x).key(), canonicalize(y).key()) in keys
-                         for x, y in r.succs)
-                     for r in ch.responses)
+            ok = any(all(s in keys for s in r.succs) for r in ch.responses)
             if not ok:
                 return False, (f"challenge {ch.clause} {ch.label} unanswered at "
                                f"({ty.render_inline(a)}, {ty.render_inline(b)})")
@@ -381,7 +368,7 @@ def validate_counterexample(S: Type, T: Type, kind: str, trace: list) -> tuple[b
     """Replay a trace: each step must be a real transition, the last a violation."""
     if not trace:
         return False, "empty trace"
-    cur = (canonicalize(S), canonicalize(T))
+    cur = (S, T)
     for i, step in enumerate(trace):
         pol_ok, chs = _expand(kind, *cur)
         if step["clause"] == "polarity":
@@ -390,7 +377,7 @@ def validate_counterexample(S: Type, T: Type, kind: str, trace: list) -> tuple[b
             return True, None
         match = [ch for ch in chs
                  if ch.clause == step["clause"]
-                 and ch.label is not None and ch.label.key() == step["label"].key()]
+                 and ch.label == step["label"]]
         if not match:
             return False, f"step {i}: challenge not present at this pair"
         ch = match[0]
@@ -402,12 +389,11 @@ def validate_counterexample(S: Type, T: Type, kind: str, trace: list) -> tuple[b
         resp = step.get("response")
         found = None
         for r in ch.responses:
-            if resp is not None and (r.label is None or r.label.key() != resp.key()):
+            if resp is not None and r.label != resp:
                 continue
-            for A, B in r.succs:
-                A, B = canonicalize(A), canonicalize(B)
-                if nxt is None or (A.key(), B.key()) == nxt:
-                    found = (A, B)
+            for s in r.succs:
+                if nxt is None or s == nxt:
+                    found = s
                     break
             if found:
                 break

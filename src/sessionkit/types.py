@@ -1,7 +1,13 @@
 """Regular session types as rooted finite automata.
 
-A type is a table of nodes plus a root id.  Node bodies are plain tuples so
-they hash and compare structurally:
+A ``Type`` is always its minimal automaton: ``nodes`` is a tuple of node
+bodies with the root at 0, one node per bisimilarity class, numbered
+breadth-first from the root with branches in tag order.  So two types are
+bisimilar exactly when their ``nodes`` are equal, and ``==`` and ``hash``
+compare those tables.  ``Type(nodes, root)`` accepts any raw table (a dict or
+sequence of bodies) and minimizes it the first time ``nodes`` is read.
+
+Node bodies are plain tuples so they hash and compare structurally:
 
     ("one",)                                   terminated output side, 1
     ("bot",)                                   terminated input side
@@ -10,13 +16,12 @@ they hash and compare structurally:
     ("times", payload_id, cont_id)             send a channel of the payload type
     ("par", payload_id, cont_id)               receive a channel of the payload type
 
-Branch tuples are kept sorted by tag.  Measures are non-negative ints and
-default to 0 in the surface syntax.
+Branch tuples are kept sorted by tag, in raw tables too.  Measures are
+non-negative ints and default to 0 in the surface syntax.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 import re
 
 
@@ -34,72 +39,60 @@ _DUAL_KIND = {
 }
 
 
-@dataclass
 class Type:
     """A rooted automaton over the node bodies described in the module docstring."""
 
-    nodes: dict
-    root: int
-    _canonical: tuple | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("_raw", "_nodes", "_hash")
+    root = 0
 
-    def kind(self, nid=None):
-        return self.nodes[self.root if nid is None else nid][0]
+    def __init__(self, nodes, root: int = 0):
+        self._raw, self._nodes, self._hash = (nodes, root), None, None
 
-    def body(self, nid=None):
-        return self.nodes[self.root if nid is None else nid]
+    @classmethod
+    def _minimal(cls, table: tuple) -> "Type":
+        """A type over a table that is already minimal and numbered."""
+        t = cls.__new__(cls)
+        t._raw, t._nodes, t._hash = None, table, None
+        return t
 
-    def is_positive(self, nid=None) -> bool:
+    @property
+    def nodes(self) -> tuple:
+        if self._nodes is None:
+            self._nodes = _canonical_table(*self._raw)
+            self._raw = None
+        return self._nodes
+
+    def kind(self, nid=0):
+        return self.nodes[nid][0]
+
+    def body(self, nid=0):
+        return self.nodes[nid]
+
+    def is_positive(self, nid=0) -> bool:
         return self.kind(nid) in POSITIVE
 
     def at(self, nid: int) -> "Type":
-        """The same table viewed from a different root."""
-        return Type(self.nodes, nid)
-
-    def reachable(self, *, follow_payloads: bool = True) -> list:
-        """Node ids reachable from the root, in BFS order (tags sorted)."""
-        seen = [self.root]
-        seen_set = {self.root}
-        i = 0
-        while i < len(seen):
-            b = self.nodes[seen[i]]
-            i += 1
-            succs = []
-            if b[0] in ("plus", "with"):
-                succs = [c for _, _, c in b[1]]
-            elif b[0] in ("times", "par"):
-                succs = [b[1], b[2]] if follow_payloads else [b[2]]
-            for s in succs:
-                if s not in seen_set:
-                    seen_set.add(s)
-                    seen.append(s)
-        return seen
+        """The type of node ``nid``: part of a minimal automaton is minimal."""
+        return self if nid == 0 else Type._minimal(_bfs_table(self.nodes, nid))
 
     def size(self) -> int:
-        return len(self.reachable())
+        return len(self.nodes)
 
     def key(self) -> tuple:
-        """Canonical table as a hashable value; equal iff bisimilar."""
-        if self._canonical is None:
-            self._canonical = _canonical_table(self)
-        return self._canonical
+        """The minimal table; equal iff bisimilar."""
+        return self.nodes
 
     def __hash__(self):
-        return hash(self.key())
+        if self._hash is None:
+            self._hash = hash(self.nodes)
+        return self._hash
 
     def __eq__(self, other):
-        return isinstance(other, Type) and self.key() == other.key()
+        return self is other or (isinstance(other, Type) and hash(self) == hash(other)
+                                 and self.nodes == other.nodes)
 
-
-def make(nodes: dict, root: int) -> Type:
-    return Type(dict(nodes), root)
-
-
-def one() -> Type:
-    return Type({0: ("one",)}, 0)
-
-
-def bot() -> Type:
-    return Type({0: ("bot",)}, 0)
+    def __repr__(self):
+        return f"Type({self.nodes!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -107,17 +100,12 @@ def bot() -> Type:
 
 
 def dual(t: Type) -> Type:
-    """Swap every constructor for its dual; measures and tags are untouched."""
-    nodes = {}
-    for nid, b in t.nodes.items():
-        k = _DUAL_KIND[b[0]]
-        if b[0] in ("one", "bot"):
-            nodes[nid] = (k,)
-        elif b[0] in ("plus", "with"):
-            nodes[nid] = (k, b[1])
-        else:
-            nodes[nid] = (k, b[1], b[2])
-    return Type(nodes, t.root)
+    """Swap every constructor for its dual; measures and tags are untouched.
+
+    Duality keeps both the bisimilarity classes and the BFS order, so the
+    swapped table is minimal as it stands.
+    """
+    return Type._minimal(tuple((_DUAL_KIND[b[0]], *b[1:]) for b in t.nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +116,7 @@ def equiv(a: Type, b: Type) -> bool:
     """Bisimilarity with exact tag and measure matching.
 
     The automata are deterministic (one body per node), so a visited-pair
-    walk is both sound and complete.
+    walk is both sound and complete.  It is the independent check of ``==``.
     """
     seen = set()
     stack = [(a.root, b.root)]
@@ -150,70 +138,76 @@ def equiv(a: Type, b: Type) -> bool:
     return True
 
 
-def _canonical_table(t: Type):
-    # Partition refinement down to bisimilarity classes, then renumber the
-    # classes in BFS order from the root so equal tables mean equal types.
-    ids = t.reachable()
-    cls = {n: t.nodes[n][0] if t.nodes[n][0] in ("one", "bot")
-           else (t.nodes[n][0], tuple((tg, m) for tg, m, _ in t.nodes[n][1]))
-           if t.nodes[n][0] in ("plus", "with")
-           else t.nodes[n][0]
-           for n in ids}
+def _children(b, follow_payloads: bool = True):
+    if b[0] in ("plus", "with"):
+        return [c for _, _, c in b[1]]
+    if b[0] in ("times", "par"):
+        return [b[1], b[2]] if follow_payloads else [b[2]]
+    return []
+
+
+def _reachable(nodes, root, follow_payloads: bool = True) -> list:
+    """Node ids reachable from ``root``, in BFS order (tags sorted)."""
+    order, seen = [root], {root}
+    for n in order:  # grows while it is walked
+        for c in _children(nodes[n], follow_payloads):
+            if c not in seen:
+                seen.add(c)
+                order.append(c)
+    return order
+
+
+def _renamed(b, new):
+    """Body ``b`` with every successor id ``c`` replaced by ``new[c]``."""
+    if b[0] in ("plus", "with"):
+        return (b[0], tuple((tg, m, new[c]) for tg, m, c in b[1]))
+    if b[0] in ("times", "par"):
+        return (b[0], new[b[1]], new[b[2]])
+    return b
+
+
+def _bfs_table(nodes, root) -> tuple:
+    """The nodes reachable from ``root`` renumbered in BFS order, root 0."""
+    order = {n: i for i, n in enumerate(_reachable(nodes, root))}
+    return tuple(_renamed(nodes[n], order) for n in order)
+
+
+def _quotient(nodes, ids) -> tuple[dict, dict]:
+    """Bisimilarity classes of ``ids``, a set closed under successors.
+
+    Returns the class of each node and the quotient table over the classes.
+    Partition refinement starts from each node's constructor, tags and
+    measures, and splits classes until successors agree.
+    """
+    cls = {n: (nodes[n][0], tuple((tg, m) for tg, m, _ in nodes[n][1]))
+           if nodes[n][0] in ("plus", "with") else nodes[n][0] for n in ids}
+    count = len(set(cls.values()))
+    kids = [(n, _children(nodes[n])) for n in ids]
     while True:
-        sig = {}
-        for n in ids:
-            b = t.nodes[n]
-            if b[0] in ("plus", "with"):
-                sig[n] = (cls[n], tuple(cls[c] for _, _, c in b[1]))
-            elif b[0] in ("times", "par"):
-                sig[n] = (cls[n], cls[b[1]], cls[b[2]])
-            else:
-                sig[n] = (cls[n],)
-        renum = {}
+        sigs = {}
         new = {}
-        for n in ids:
-            new[n] = renum.setdefault(sig[n], len(renum))
-        if len(set(new.values())) == len(set(cls.values())):
-            cls = new
-            break
+        for n, cs in kids:
+            new[n] = sigs.setdefault((cls[n], *map(cls.__getitem__, cs)), len(sigs))
         cls = new
-
-    # BFS order over classes
-    order = {}
-    queue = [t.root]
-    while queue:
-        n = queue.pop(0)
-        c = cls[n]
-        if c in order:
-            continue
-        order[c] = len(order)
-        b = t.nodes[n]
-        if b[0] in ("plus", "with"):
-            queue.extend(c2 for _, _, c2 in b[1])
-        elif b[0] in ("times", "par"):
-            queue.extend([b[1], b[2]])
-
-    rep = {}
+        if len(sigs) == count:
+            break
+        count = len(sigs)
+    table = {}
     for n in ids:
-        rep.setdefault(order[cls[n]], n)
-    table = []
-    for i in range(len(order)):
-        b = t.nodes[rep[i]]
-        if b[0] in ("plus", "with"):
-            table.append((b[0], tuple((tg, m, order[cls[c]]) for tg, m, c in b[1])))
-        elif b[0] in ("times", "par"):
-            table.append((b[0], order[cls[b[1]]], order[cls[b[2]]]))
-        else:
-            table.append(b)
-    return tuple(table)
+        if cls[n] not in table:
+            table[cls[n]] = _renamed(nodes[n], cls)
+    return cls, table
+
+
+def _canonical_table(nodes, root) -> tuple:
+    """The minimal automaton of a raw table from ``root``, numbered in BFS order."""
+    cls, table = _quotient(nodes, _reachable(nodes, root))
+    return _bfs_table(table, cls[root])
 
 
 def canonicalize(t: Type) -> Type:
-    """Minimal automaton, root 0, nodes in BFS order, branches tag-sorted."""
-    table = t.key()
-    out = Type({i: b for i, b in enumerate(table)}, 0)
-    out._canonical = table
-    return out
+    """``t`` itself: every ``Type`` is its minimal automaton already."""
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +234,7 @@ def is_fairly_terminating(t: Type, detail: dict | None = None) -> bool:
         if root in done_roots:
             continue
         done_roots.add(root)
-        ids = t.at(root).reachable(follow_payloads=False)
+        ids = _reachable(t.nodes, root, follow_payloads=False)
         for n in ids:
             b = t.nodes[n]
             if b[0] in ("times", "par"):
@@ -252,11 +246,7 @@ def is_fairly_terminating(t: Type, detail: dict | None = None) -> bool:
 
 def _succs(t: Type, n: int) -> list:
     b = t.nodes[n]
-    if b[0] in ("one", "bot"):
-        return [n]
-    if b[0] in ("plus", "with"):
-        return [c for _, _, c in b[1]]
-    return [b[2]]
+    return [n] if b[0] in ("one", "bot") else _children(b, follow_payloads=False)
 
 
 def _fair_component(t: Type, ids: list, detail) -> bool:
@@ -449,10 +439,11 @@ def parse_decls(src: str) -> dict:
     return decls
 
 
-def resolve(decls: dict, name: str) -> Type:
-    """Build the automaton for ``name``, rejecting unguarded alias cycles."""
-    if name not in decls:
-        raise TypeError_(f"unknown type name {name!r}")
+def _build(decls: dict, names: list) -> tuple[dict, list]:
+    """One raw table for ``names``, sharing nodes, and the node of each name.
+
+    Rejects unknown names and unguarded alias cycles.
+    """
     shells = {}  # node id -> (constructor AST, child ids filled in later)
     name_node = {}
 
@@ -469,10 +460,11 @@ def resolve(decls: dict, name: str) -> Type:
             trail.add(n)
             n = decls[n][1]
 
-    # Depth-first, children left to right: node ids and the first error
-    # reported are those of a recursive descent.  Each entry fills one slot.
-    root = [None]
-    stack = [(root, 0, ("name", name))]
+    # Depth-first, children left to right, names in order: node ids and the
+    # first error reported are those of a recursive descent from each name
+    # in turn.  Each entry fills one slot.
+    roots = [None] * len(names)
+    stack = [(roots, i, ("name", n)) for i, n in reversed(list(enumerate(names)))]
     while stack:
         slot, i, ast = stack.pop()
         if ast[0] == "name":
@@ -496,7 +488,20 @@ def resolve(decls: dict, name: str) -> Type:
             nodes[nid] = (ast[0], *kids)
         else:
             nodes[nid] = ast
-    return canonicalize(Type(nodes, root[0]))
+    return nodes, roots
+
+
+def resolve(decls: dict, name: str) -> Type:
+    """Build the automaton for ``name``, rejecting unguarded alias cycles."""
+    nodes, (root,) = _build(decls, [name])
+    return Type(nodes, root)
+
+
+def resolve_all(decls: dict) -> dict:
+    """``resolve`` of every declared name; the shared table is minimized once."""
+    nodes, roots = _build(decls, list(decls))
+    cls, table = _quotient(nodes, list(nodes))
+    return {n: Type._minimal(_bfs_table(table, cls[r])) for n, r in zip(decls, roots)}
 
 
 def parse_type(src: str, name: str | None = None) -> Type:
@@ -524,15 +529,12 @@ def parse_expr(src: str, env: dict | None = None) -> Type:
 
 def render(t: Type, name: str = "T") -> str:
     """Declarations that parse back to a bisimilar type (one per shared node)."""
-    t = canonicalize(t)
-    ids = t.reachable()
-    label = {n: (name if n == t.root else f"{name}{n}") for n in ids}
-    lines = [f"type {label[n]} = {_render_body(t, n, label)}" for n in ids]
-    return "\n".join(lines)
+    label = [name] + [f"{name}{n}" for n in range(1, t.size())]
+    return "\n".join(f"type {label[n]} = {_render_body(b, label)}"
+                     for n, b in enumerate(t.nodes))
 
 
-def _render_body(t: Type, n: int, label) -> str:
-    b = t.nodes[n]
+def _render_body(b, label) -> str:
     if b[0] == "one":
         return "end!"
     if b[0] == "bot":
@@ -550,31 +552,37 @@ def _render_body(t: Type, n: int, label) -> str:
 
 def render_inline(t: Type) -> str:
     """One-line rendition; loops fall back to node references ``%N``."""
-    t = canonicalize(t)
-
-    def go(n, trail):
-        if n in trail:
-            return f"%{n}"
-        b = t.nodes[n]
-        if b[0] == "one":
-            return "end!"
-        if b[0] == "bot":
-            return "end?"
-        if b[0] in ("plus", "with"):
-            open_ = "+{" if b[0] == "plus" else "&{"
-            inner = ", ".join(
-                f"{tg}{f'@{m}' if m else ''}: {go(c, trail | {n})}" for tg, m, c in b[1]
-            )
-            return open_ + inner + "}"
-        op = "!" if b[0] == "times" else "?"
-        return f"{op}({go(b[1], trail | {n})}).{go(b[2], trail | {n})}"
-
-    return go(t.root, frozenset())
+    # An explicit stack of text, nodes to render and ("leave", node) marks,
+    # so deep types render without recursion.
+    out, path, todo = [], set(), [0]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, tuple):
+            path.discard(item[1])
+        elif item in path:
+            out.append(f"%{item}")
+        else:
+            b = t.nodes[item]
+            if b[0] in ("one", "bot"):
+                out.append("end!" if b[0] == "one" else "end?")
+                continue
+            path.add(item)
+            if b[0] in ("plus", "with"):
+                parts = ["+{" if b[0] == "plus" else "&{"]
+                for i, (tg, m, c) in enumerate(b[1]):
+                    parts += [f"{', ' if i else ''}{tg}{f'@{m}' if m else ''}: ", c]
+                parts.append("}")
+            else:
+                parts = ["!(" if b[0] == "times" else "?(", b[1], ").", b[2]]
+            todo.append(("leave", item))
+            todo.extend(reversed(parts))
+    return "".join(out)
 
 
 def to_json(t: Type) -> dict:
-    t = canonicalize(t)
-    return {"root": 0, "nodes": [list(_json_body(b)) for b in (t.nodes[i] for i in range(len(t.nodes)))]}
+    return {"root": 0, "nodes": [list(_json_body(b)) for b in t.nodes]}
 
 
 def _json_body(b):

@@ -1,3 +1,4 @@
+import glob
 import json
 import os
 import subprocess
@@ -170,6 +171,27 @@ def test_deep_types_exit_cleanly(capsys, tmp_path):
     chain.write_text("".join(f"type T{i} = +{{ a: T{(i + 1) % n} }}\n" for i in range(n)))
     code, out = run(capsys, "dual", str(chain), "T0")
     assert code == 0 and out.strip() == "type dual_T0 = &{ a: dual_T0 }"
+    code, out = run(capsys, "parse", str(chain))
+    assert code == 0
+    assert out.splitlines() == [f"type T{i} = +{{ a: T{i} }}" for i in range(n)]
+    # 520 levels: the polarity counterexample renders a type that deep
+    deep = tmp_path / "deep.st"
+    deep.write_text("".join(f"type T{i} = &{{ a: T{i + 1} }}\n" for i in range(520))
+                    + "type T520 = end?\n")
+    code, out = run(capsys, "compose", str(deep), "T0", "T0", "--max-nodes", "1000")
+    assert code == 1 and "counterexample" in out
+    assert out.count("&{a: ") == 2 * 520
+
+
+def test_demos_run():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    demos = sorted(glob.glob(os.path.join(root, "demos", "*.py")))
+    assert len(demos) == 5
+    for demo in demos:
+        done = subprocess.run([sys.executable, demo], env=env, capture_output=True,
+                              text=True)
+        assert done.returncode == 0, (demo, done.stderr)
 
 
 def test_witness_order_ignores_hash_seed(sat):

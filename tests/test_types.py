@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,28 @@ def auto(seed, max_nodes=8, higher_order=False):
 
 types_st = st.integers(0, 10**9).map(auto)
 ho_types_st = st.integers(0, 10**9).map(lambda s: auto(s, 6, True))
+
+
+@st.composite
+def raw_tables(draw, max_nodes=6):
+    """Raw, usually non-minimal tables with root 0, higher-order included."""
+    n = draw(st.integers(1, max_nodes))
+    node = st.integers(0, n - 1)
+    branches = st.dictionaries(st.sampled_from("abc"), st.tuples(st.integers(0, 1), node),
+                               max_size=3)
+    body = st.one_of(
+        st.sampled_from([("one",), ("bot",)]),
+        st.tuples(st.sampled_from(["plus", "with"]), branches.map(
+            lambda d: tuple(sorted((tg, m, c) for tg, (m, c) in d.items())))),
+        st.tuples(st.sampled_from(["times", "par"]), node, node))
+    return dict(enumerate(draw(st.lists(body, min_size=n, max_size=n))))
+
+
+def doubled(raw):
+    """Two copies of a table with edges crossing between them: bisimilar to it."""
+    n = len(raw)
+    return {i + n * j: ty._renamed(b, {c: c + n * ((i + c + j) % 2) for c in raw})
+            for i, b in raw.items() for j in (0, 1)}
 
 
 def test_parse_smallest():
@@ -105,10 +128,9 @@ def test_dual_involution_higher_order(t):
 @given(types_st)
 @settings(max_examples=80, deadline=None)
 def test_canonicalize_idempotent_and_bisimilar(t):
-    c = ty.canonicalize(t)
-    assert ty.equiv(c, t)
-    c2 = ty.canonicalize(c)
-    assert c2.key() == c.key()
+    assert ty.canonicalize(t) is t
+    again = ty.Type(t.nodes)  # minimizing a minimal table changes nothing
+    assert again.nodes == t.nodes and ty.equiv(again, t)
 
 
 @given(types_st)
@@ -169,3 +191,43 @@ def test_json_round_trip(t):
 @settings(max_examples=40, deadline=None)
 def test_dual_preserves_fair_termination(t):
     assert ty.is_fairly_terminating(t) == ty.is_fairly_terminating(ty.dual(t))
+
+
+@given(raw_tables())
+@settings(max_examples=150, deadline=None)
+def test_views_and_duals_skip_refinement(raw):
+    t = ty.Type(raw)
+    for n in range(t.size()):
+        assert t.at(n).nodes == ty.Type(t.nodes, n).nodes
+    swapped = {i: (ty._DUAL_KIND[b[0]], *b[1:]) for i, b in raw.items()}
+    assert ty.dual(t).nodes == ty.Type(swapped).nodes
+
+
+def bisimilar_raw(a, b, x=0, y=0):
+    """The oracle on raw tables, with no minimization in between."""
+    return ty.equiv(SimpleNamespace(nodes=a, root=x), SimpleNamespace(nodes=b, root=y))
+
+
+@given(raw_tables(), raw_tables())
+@settings(max_examples=150, deadline=None)
+def test_equality_is_bisimilarity(s, t):
+    assert (ty.Type(s) == ty.Type(t)) == bisimilar_raw(s, t)
+    assert ty.Type(doubled(s)) == ty.Type(s) and bisimilar_raw(doubled(s), s)
+    classes = []  # one representative per bisimilarity class
+    for i in ty._reachable(s, 0):
+        if not any(bisimilar_raw(s, s, i, j) for j in classes):
+            classes.append(i)
+    assert ty.Type(s).size() == len(classes)
+
+
+@given(raw_tables())
+@settings(max_examples=100, deadline=None)
+def test_resolve_all_matches_resolve(raw):
+    label = [f"N{i}" for i in range(len(raw))]
+    src = "".join(f"type N{i} = {ty._render_body(b, label)}\n" for i, b in raw.items())
+    decls = ty.parse_decls(src + "type A = N0\ntype B = A\n")
+    every = ty.resolve_all(decls)
+    assert list(every) == list(decls)
+    for name, t in every.items():
+        assert t.nodes == ty.resolve(decls, name).nodes
+    assert every["B"] == ty.Type(raw)
