@@ -60,21 +60,24 @@ def chan(direction: str, payload: Type) -> Label:
 
 def parse_label(text: str, env: dict | None = None) -> Label:
     """``?a``, ``!b@2``, ``!*``, ``?(T)`` with T a type expression."""
-    text = text.strip()
-    if not text or text[0] not in "?!":
-        raise ty.TypeError_(f"label must start with ? or !: {text!r}")
-    d = "in" if text[0] == "?" else "out"
-    rest = text[1:].strip()
-    if rest == "*":
-        return star(d)
-    if rest.startswith("("):
-        if not rest.endswith(")"):
-            raise ty.TypeError_(f"unclosed payload in label {text!r}")
-        return chan(d, ty.parse_expr(rest[1:-1], env))
-    name, _, m = rest.partition("@")
-    if not name.isidentifier():
-        raise ty.TypeError_(f"bad tag in label {text!r}")
-    return tag(d, name, int(m) if m else 0)
+    c = ty.Cursor(text)
+    arrow = c.peek()
+    if arrow not in ("?", "!"):
+        c.fail(f"label must start with ? or !: {text.strip()!r}")
+    c.next()
+    d = "in" if arrow == "?" else "out"
+    if c.peek() == "*":
+        c.next()
+        l = star(d)
+    elif c.peek() == "(":
+        c.next()
+        payload = c.type_expr()
+        c.expect(")")
+        l = chan(d, ty.resolve_expr(payload, env))
+    else:
+        l = tag(d, *c.tag())
+    c.end()
+    return l
 
 
 # ---------------------------------------------------------------------------

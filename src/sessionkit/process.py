@@ -17,12 +17,16 @@ Process grammar:
         | P (+) P                      non-deterministic choice
         | new x : T >< T { P || P }    cut: connect two processes on x
         | NAME(x, ...)                 invocation
+
+A term nests at most ``types.MAX_NESTING`` (256) levels deep, counting each
+prefix, each body of a ``case``, ``new`` or fork, each parenthesis, each
+``(+)`` and each level of a type written inside it; a deeper program is a
+``ProcessError`` (or a ``TypeError_`` when the limit falls inside a type).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-import re
 
 from . import types as ty
 from .types import Type
@@ -178,228 +182,144 @@ def rename(p, sub: dict):
 
 
 # ---------------------------------------------------------------------------
-# tokenizer / parser
+# parser, over the token stream of ``types.Cursor``
 
-_OPS = ["(+)", "||", "><", "+{", "&{", "end!", "end?",
-        "{", "}", "(", ")", ":", ",", ".", "!", "?", "@", "="]
-
-_TOK = re.compile(
-    "|".join([r"#[^\n]*"] + [re.escape(o) for o in _OPS] +
-             [r"[A-Za-z_][A-Za-z0-9_]*", r"\d+"]))
+_KEYWORDS = {"done", "link", "close", "wait", "case", "new", "type", "sig", "def"}
 
 
-def _tokenize(src: str):
-    toks = []
-    pos = 0
-    n = len(src)
-    while pos < n:
-        if src[pos].isspace():
-            pos += 1
-            continue
-        m = _TOK.match(src, pos)
-        if not m:
-            raise ProcessError(f"bad character at offset {pos}: {src[pos]!r}")
-        pos = m.end()
-        if not m.group(0).startswith("#"):
-            toks.append(m.group(0))
-    return toks
+def _name(c, what="name"):
+    return c.ident(what, _KEYWORDS)
 
 
-class _P:
-    def __init__(self, toks):
-        self.toks = toks
-        self.i = 0
+def _branch(c):
+    tag = _name(c, "tag")
+    c.expect(":")
+    return tag, _term(c)
 
-    def peek(self, k=0):
-        j = self.i + k
-        return self.toks[j] if j < len(self.toks) else None
 
-    def next(self):
-        if self.i >= len(self.toks):
-            raise ProcessError("unexpected end of input")
-        self.i += 1
-        return self.toks[self.i - 1]
-
-    def expect(self, tok):
-        got = self.next()
-        if got != tok:
-            raise ProcessError(f"expected {tok!r}, got {got!r}")
-
-    def ident(self, what="name"):
-        t = self.next()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", t or "") or t in (
-                "done", "link", "close", "wait", "case", "new", "type", "sig", "def"):
-            raise ProcessError(f"expected {what}, got {t!r}")
-        return t
-
-    def type_expr(self):
-        # the type grammar shares this token stream
-        tp = ty._Parser(self.toks)
-        tp.i = self.i
-        ast = tp.type_expr()
-        self.i = tp.i
-        return ast
-
-    def term(self):
-        left = self.term1()
-        while self.peek() == "(+)":
-            self.next()
-            left = Choice(left, self.term1())
-        return left
-
-    def term1(self):
-        t = self.peek()
-        if t == "done":
-            self.next()
-            return Done()
-        if t == "link":
-            self.next()
-            return Link(self.ident(), self.ident())
-        if t == "close":
-            self.next()
-            return Close(self.ident())
-        if t == "wait":
-            self.next()
-            x = self.ident()
-            self.expect(".")
-            return Wait(x, self.term1())
-        if t == "case":
-            self.next()
-            x = self.ident()
-            self.expect("{")
-            branches = []
-            if self.peek() != "}":
-                while True:
-                    tag = self.ident("tag")
-                    self.expect(":")
-                    branches.append((tag, self.term()))
-                    if self.peek() == ",":
-                        self.next()
-                        continue
-                    break
-            self.expect("}")
-            tags = [b[0] for b in branches]
-            if len(set(tags)) != len(tags):
-                raise ProcessError(f"duplicate tags in case: {tags}")
-            return Case(x, tuple(branches))
-        if t == "new":
-            self.next()
-            x = self.ident()
-            self.expect(":")
-            lt = self.type_expr()
-            self.expect("><")
-            rt = self.type_expr()
-            self.expect("{")
-            left = self.term()
-            self.expect("||")
-            right = self.term()
-            self.expect("}")
-            return Cut(x, lt, rt, left, right)  # types resolved later
-        if t == "(":
-            self.next()
-            inner = self.term()
-            self.expect(")")
-            return inner
+def _term(c, choice=True):
+    """A term; a prefix's continuation (``choice`` false) stops before ``(+)``."""
+    depth = c.depth
+    c.enter("process term")
+    t = c.peek()
+    if t == "done":
+        c.next()
+        p = Done()
+    elif t == "link":
+        c.next()
+        p = Link(_name(c), _name(c))
+    elif t == "close":
+        c.next()
+        p = Close(_name(c))
+    elif t == "wait":
+        c.next()
+        x = _name(c)
+        c.expect(".")
+        p = Wait(x, _term(c, False))
+    elif t == "case":
+        c.next()
+        x = _name(c)
+        c.expect("{")
+        p = Case(x, tuple(c.commas(_branch, "}", "duplicate tags in case")))
+    elif t == "new":
+        c.next()
+        x = _name(c)
+        c.expect(":")
+        lt = c.type_expr()
+        c.expect("><")
+        rt = c.type_expr()
+        c.expect("{")
+        left = _term(c)
+        c.expect("||")
+        right = _term(c)
+        c.expect("}")
+        p = Cut(x, lt, rt, left, right)  # types resolved later
+    elif t == "(":
+        c.next()
+        p = _term(c)
+        c.expect(")")
+    else:
         # identifier-led: call NAME(...), or a channel action x!.., x!(y).., x?(y)..
-        name = self.ident()
-        t = self.peek()
+        name = _name(c)
+        t = c.peek()
         if t == "(":
-            self.next()
-            args = []
-            if self.peek() != ")":
-                while True:
-                    args.append(self.ident())
-                    if self.peek() == ",":
-                        self.next()
-                        continue
-                    break
-            self.expect(")")
-            return Call(name, tuple(args))
-        if t == "!":
-            self.next()
-            if self.peek() == "(":
-                self.next()
-                y = self.ident()
-                self.expect(")")
-                self.expect("{")
-                payload = self.term()
-                self.expect("}")
-                self.expect(".")
-                return Fork(name, y, payload, self.term1())
-            tag = self.ident("tag")
-            self.expect(".")
-            return Select(name, tag, self.term1())
-        if t == "?":
-            self.next()
-            self.expect("(")
-            y = self.ident()
-            self.expect(")")
-            self.expect(".")
-            return Join(name, y, self.term1())
-        raise ProcessError(f"unexpected token after {name!r}: {t!r}")
+            c.next()
+            p = Call(name, tuple(c.commas(_name, ")")))
+        elif t == "!":
+            c.next()
+            if c.peek() == "(":
+                c.next()
+                y = _name(c)
+                c.expect(")")
+                c.expect("{")
+                payload = _term(c)
+                c.expect("}")
+                c.expect(".")
+                p = Fork(name, y, payload, _term(c, False))
+            else:
+                tag = _name(c, "tag")
+                c.expect(".")
+                p = Select(name, tag, _term(c, False))
+        elif t == "?":
+            c.next()
+            c.expect("(")
+            y = _name(c)
+            c.expect(")")
+            c.expect(".")
+            p = Join(name, y, _term(c, False))
+        else:
+            c.fail(f"unexpected token after {name!r}: {t!r}")
+    c.depth = depth
+    while choice and c.peek() == "(+)":
+        c.next()
+        c.enter("process term")  # each choice nests the ones before it
+        p = Choice(p, _term(c, False))
+    c.depth = depth
+    return p
+
+
+def _param(c):
+    x = _name(c)
+    c.expect(":")
+    return x, c.type_expr()
 
 
 def parse_program(src: str) -> Program:
-    p = _P(_tokenize(src))
+    c = ty.Cursor(src, ProcessError)
     type_asts = {}
     sigs_raw = {}
     defs = {}
     main = None
-    while p.peek() is not None:
-        t = p.peek()
+    while c.peek() is not None:
+        t = c.peek()
         if t == "type":
-            p.next()
-            name = p.ident("type name")
-            p.expect("=")
-            if name in type_asts:
-                raise ProcessError(f"duplicate type {name!r}")
-            type_asts[name] = p.type_expr()
+            c.decl(type_asts, _KEYWORDS)
         elif t == "sig":
-            p.next()
-            name = p.ident("definition name")
-            p.expect("(")
-            params = []
-            if p.peek() != ")":
-                while True:
-                    x = p.ident()
-                    p.expect(":")
-                    params.append((x, p.type_expr()))
-                    if p.peek() == ",":
-                        p.next()
-                        continue
-                    break
-            p.expect(")")
-            sigs_raw[name] = tuple(params)
+            c.next()
+            name = _name(c, "definition name")
+            c.expect("(")
+            sigs_raw[name] = tuple(c.commas(_param, ")"))
         elif t == "def":
-            p.next()
-            name = p.ident("definition name")
-            p.expect("(")
-            params = []
-            if p.peek() != ")":
-                while True:
-                    params.append(p.ident())
-                    if p.peek() == ",":
-                        p.next()
-                        continue
-                    break
-            p.expect(")")
-            p.expect("=")
+            c.next()
+            name = _name(c, "definition name")
+            at = c.i - 1
+            c.expect("(")
+            params = tuple(c.commas(_name, ")"))
+            c.expect("=")
             if name in defs:
-                raise ProcessError(f"duplicate definition {name!r}")
-            defs[name] = (tuple(params), p.term())
+                c.fail(f"duplicate definition {name!r}", at)
+            defs[name] = (params, _term(c))
         else:
             if main is not None:
-                raise ProcessError("more than one bare main term")
-            main = p.term()
+                c.fail("more than one bare main term")
+            main = _term(c)
 
     types = ty.resolve_all(type_asts)
 
     def resolve_ast(ast):
         if ast[0] == "name" and ast[1] in types:
             return types[ast[1]]
-        decls = dict(type_asts)
-        decls["__it__"] = ast
-        return ty.resolve(decls, "__it__")
+        return ty.resolve_expr(ast, type_asts)
 
     sigs = {n: tuple((x, resolve_ast(a)) for x, a in ps)
             for n, ps in sigs_raw.items()}

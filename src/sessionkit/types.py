@@ -324,118 +324,185 @@ def _tarjan(ids, succs):
 # ---------------------------------------------------------------------------
 # surface syntax
 
-_TOKEN = re.compile(
-    r"(end!|end\?)|([A-Za-z_][A-Za-z0-9_]*)|(\d+)|([+&]\{|[{}@:,.()!?=])|(#[^\n]*)"
-)
+# One token set for type declarations, programs and labels.  Each match skips
+# whitespace and comments, then takes one token: group 1 punctuation (with
+# end! and end?), 2 a word (name, tag or keyword), 3 a measure, 4 a character
+# no token starts with.  It matches empty only at the end of the text.
+_TOKEN = re.compile(r"""(?:\s|\#[^\n]*)*
+    (?: (end[!?]|\(\+\)|\|\||><|[+&]\{|[{}()@:,.!?=*])
+      | ([A-Za-z_][A-Za-z0-9_]*)
+      | (\d+)
+      | (.)
+      | \Z )""", re.X | re.S)
+_WORD, _NUMBER, _BAD = 2, 3, 4
 
 _KEYWORDS = {"type"}
 
-# Type expressions nest at most this deep (each choice branch, payload and
-# continuation is one level); names give arbitrarily deep types.
+# Types and programs nest at most this deep (each choice branch, payload,
+# continuation, prefix, body and parenthesis is one level); names give
+# arbitrarily deep types and definitions arbitrarily long runs.
 MAX_NESTING = 256
 
 
-def _tokenize(src: str):
-    toks = []
-    pos = 0
-    n = len(src)
-    while pos < n:
-        if src[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(src, pos)
-        if not m:
-            raise TypeError_(f"bad character at offset {pos}: {src[pos]!r}")
-        pos = m.end()
-        if not m.group(5):  # comment
-            toks.append(m.group(0))
-    return toks
+def _where(src: str, off: int) -> str:
+    """``(line L, col C)`` of offset ``off``, both counted from 1."""
+    line = src.count("\n", 0, off) + 1
+    col = off - src.rfind("\n", 0, off)
+    return f"(line {line}, col {col})"
 
 
-class _Parser:
-    def __init__(self, toks):
-        self.toks = toks
+class Cursor:
+    """The tokens of one source text and a position in them.
+
+    ``error`` is the exception class for lexing errors and for the caller's
+    grammar; the type grammar always raises ``TypeError_``.  Every error ends
+    with the line and column of the offending token.
+    """
+
+    def __init__(self, src: str, error=TypeError_):
+        self.src, self.error = src, error
+        toks, kinds, offs = [], [], []
+        for m in _TOKEN.finditer(src):
+            k = m.lastindex
+            if k is None:
+                break
+            off = m.start(k)
+            if k == _BAD:
+                raise error(f"bad character at offset {off}: {src[off]!r} {_where(src, off)}")
+            toks.append(m.group(k))
+            kinds.append(k)
+            offs.append(off)
+        # a None token marks the end; its offset is the end of the text
+        self.toks, self.kinds, self.offs = toks + [None], kinds + [None], offs + [len(src)]
         self.i = 0
+        self.depth = 0
+
+    def fail(self, msg: str, at: int | None = None):
+        """Raise ``msg`` located at token ``at`` (the current one by default)."""
+        raise self.error(f"{msg} {_where(self.src, self.offs[self.i if at is None else at])}")
 
     def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
+        return self.toks[self.i]
 
     def next(self):
-        if self.i >= len(self.toks):
-            raise TypeError_("unexpected end of input")
+        t = self.toks[self.i]
+        if t is None:
+            self.fail("unexpected end of input")
         self.i += 1
-        return self.toks[self.i - 1]
+        return t
 
     def expect(self, tok):
         got = self.next()
         if got != tok:
-            raise TypeError_(f"expected {tok!r}, got {got!r}")
-        return got
+            self.fail(f"expected {tok!r}, got {got!r}", self.i - 1)
 
-    def type_expr(self, depth=1):
-        if depth > MAX_NESTING:
-            raise TypeError_(f"type expression nested deeper than {MAX_NESTING} levels")
+    def ident(self, what: str, keywords=()):
+        t = self.next()
+        if self.kinds[self.i - 1] != _WORD or t in keywords:
+            self.fail(f"expected {what}, got {t!r}", self.i - 1)
+        return t
+
+    def end(self):
+        if self.peek() is not None:
+            self.fail(f"trailing input: {self.peek()!r}")
+
+    def enter(self, what: str):
+        """One nesting level deeper; the caller takes ``depth`` back down."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"{what} nested deeper than {MAX_NESTING} levels")
+
+    def commas(self, item, close: str, duplicate: str | None = None) -> list:
+        """``item(self), item(self), ...`` up to the token ``close``, possibly none.
+
+        With ``duplicate``, items are tuples keyed by their first element and
+        a repeated key is an error with that text.
+        """
+        out, starts = [], []
+        if self.peek() != close:
+            while True:
+                starts.append(self.i)
+                out.append(item(self))
+                if self.peek() != ",":
+                    break
+                self.next()
+        self.expect(close)
+        if duplicate:
+            keys, seen = [it[0] for it in out], set()
+            for k, at in zip(keys, starts):
+                if k in seen:
+                    self.fail(f"{duplicate}: {keys}", at)
+                seen.add(k)
+        return out
+
+    def tag(self) -> tuple:
+        """``tag`` or ``tag@measure``, as (tag, measure)."""
+        tag = self.ident("a tag")
+        m = 0
+        if self.peek() == "@":
+            self.next()
+            n = self.next()
+            if self.kinds[self.i - 1] != _NUMBER:
+                self.fail(f"expected a measure, got {n!r}", self.i - 1)
+            m = int(n)
+        return tag, m
+
+    def type_expr(self):
+        """The AST of a type expression; its errors are ``TypeError_``."""
+        error, self.error = self.error, TypeError_
+        ast = self._type()
+        self.error = error
+        return ast
+
+    def _branch(self):
+        tag, m = self.tag()
+        self.expect(":")
+        return tag, m, self._type()
+
+    def _type(self):
+        self.enter("type expression")
         t = self.peek()
         if t == "end!":
             self.next()
-            return ("one",)
-        if t == "end?":
+            ast = ("one",)
+        elif t == "end?":
             self.next()
-            return ("bot",)
-        if t in ("+{", "&{"):
+            ast = ("bot",)
+        elif t in ("+{", "&{"):
             self.next()
-            kind = "plus" if t == "+{" else "with"
-            branches = []
-            if self.peek() != "}":
-                while True:
-                    tag = self.next()
-                    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tag or ""):
-                        raise TypeError_(f"expected a tag, got {tag!r}")
-                    m = 0
-                    if self.peek() == "@":
-                        self.next()
-                        n = self.next()
-                        if not n.isdigit():
-                            raise TypeError_(f"expected a measure, got {n!r}")
-                        m = int(n)
-                    self.expect(":")
-                    branches.append((tag, m, self.type_expr(depth + 1)))
-                    if self.peek() == ",":
-                        self.next()
-                        continue
-                    break
-            self.expect("}")
-            tags = [b[0] for b in branches]
-            if len(set(tags)) != len(tags):
-                raise TypeError_(f"duplicate tag in choice: {tags}")
-            return (kind, tuple(sorted(branches)))
-        if t in ("!", "?"):
+            branches = self.commas(Cursor._branch, "}", "duplicate tag in choice")
+            ast = ("plus" if t == "+{" else "with", tuple(sorted(branches)))
+        elif t in ("!", "?"):
             self.next()
             self.expect("(")
-            payload = self.type_expr(depth + 1)
+            payload = self._type()
             self.expect(")")
             self.expect(".")
-            cont = self.type_expr(depth + 1)
-            return ("times" if t == "!" else "par", payload, cont)
-        if t and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", t) and t not in _KEYWORDS:
+            ast = ("times" if t == "!" else "par", payload, self._type())
+        elif self.kinds[self.i] == _WORD and t not in _KEYWORDS:
             self.next()
-            return ("name", t)
-        raise TypeError_(f"expected a type, got {t!r}")
+            ast = ("name", t)
+        else:
+            self.fail(f"expected a type, got {t!r}")
+        self.depth -= 1
+        return ast
+
+    def decl(self, decls: dict, keywords):
+        """``type NAME = T``, added to ``decls``; ``keywords`` are not names."""
+        self.expect("type")
+        name = self.ident("type name", keywords)
+        if name in decls:
+            self.fail(f"duplicate type {name!r}", self.i - 1)
+        self.expect("=")
+        decls[name] = self.type_expr()
 
 
 def parse_decls(src: str) -> dict:
     """Parse ``type NAME = T`` declarations into an AST map (unresolved)."""
-    p = _Parser(_tokenize(src))
+    c = Cursor(src)
     decls = {}
-    while p.peek() is not None:
-        p.expect("type")
-        name = p.next()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name or "") or name in _KEYWORDS:
-            raise TypeError_(f"bad type name {name!r}")
-        if name in decls:
-            raise TypeError_(f"duplicate declaration of {name!r}")
-        p.expect("=")
-        decls[name] = p.type_expr()
+    while c.peek() is not None:
+        c.decl(decls, _KEYWORDS)
     return decls
 
 
@@ -514,13 +581,15 @@ def parse_type(src: str, name: str | None = None) -> Type:
 
 def parse_expr(src: str, env: dict | None = None) -> Type:
     """Parse a bare type expression, optionally against existing declarations."""
-    decls = dict(env or {})
-    p = _Parser(_tokenize(src))
-    ast = p.type_expr()
-    if p.peek() is not None:
-        raise TypeError_(f"trailing input: {p.peek()!r}")
-    decls["__it__"] = ast
-    return resolve(decls, "__it__")
+    c = Cursor(src)
+    ast = c.type_expr()
+    c.end()
+    return resolve_expr(ast, env)
+
+
+def resolve_expr(ast, decls: dict | None = None) -> Type:
+    """The type of an expression's AST over the declarations ``decls``."""
+    return resolve({**(decls or {}), "__it__": ast}, "__it__")
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ def test_corpus_list(capsys):
         assert name in out
 
 
-def test_usage_errors_exit_3(capsys, tmp_path):
+def test_usage_errors_exit_3(capsys, tmp_path, sat):
     assert cli.main(["bogus"]) == 3
     capsys.readouterr()
     missing = str(tmp_path / "nope.st")
@@ -143,6 +143,10 @@ def test_usage_errors_exit_3(capsys, tmp_path):
         assert cli.main([cmd, str(bad_prog)]) == 3
     err = capsys.readouterr().err
     assert err.count("error: bad character at offset 11") == 3
+    for label in ("!a@x", "!a@1@2", "!a@-1", "!é"):
+        assert cli.main(["step", sat, "S", "--label", label]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 4 and "Traceback" not in err
     good = fixtures.QM_COUNTDOWN
     machines = [[good],  # a list, not an object
                 {**good, "delta": {"s,a": []}},
@@ -168,6 +172,16 @@ def test_deep_types_exit_cleanly(capsys, tmp_path):
     err = capsys.readouterr().err
     assert f"nested deeper than {ty.MAX_NESTING} levels" in err
     assert "unknown type name 'T2000'" in err
+    # programs share the limit: N prefixes x!a. and N parentheses
+    prog = tmp_path / "deep.cap"
+    head = "type T = +{ a: T, b: end! }\nsig A(x: T)\ndef A(x) = "
+    for cmd, body in (("run", "x!a." * 500 + "x!b.close x"),
+                      ("typecheck", "x!a." * 1000 + "x!b.close x"),
+                      ("typecheck", "(" * 500 + "x!b.close x" + ")" * 500)):
+        prog.write_text(head + body + "\n")
+        assert cli.main([cmd, str(prog)]) == 3
+    err = capsys.readouterr().err
+    assert err.count(f"nested deeper than {ty.MAX_NESTING} levels") == 3
     chain.write_text("".join(f"type T{i} = +{{ a: T{(i + 1) % n} }}\n" for i in range(n)))
     code, out = run(capsys, "dual", str(chain), "T0")
     assert code == 0 and out.strip() == "type dual_T0 = &{ a: dual_T0 }"

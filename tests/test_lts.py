@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from sessionkit import lts, randgen
@@ -98,6 +99,11 @@ def test_label_parse_and_render():
         assert str(lts.parse_label(text)) == text
     l = lts.parse_label("?(+{ a: end! })")
     assert l.msg[0] == "chan" and l.direction == "in"
+    # a measure that is not a number, a second measure, a negative one, a tag
+    # no type can contain, a missing measure, an unclosed payload
+    for text in ("!a@x", "!a@1@2", "!a@-1", "!é", "!a@", "?(end!"):
+        with pytest.raises(ty.TypeError_, match=r"\(line 1, col \d+\)$"):
+            lts.parse_label(text)
 
 
 @given(types_st)

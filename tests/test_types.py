@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sessionkit import randgen
+from sessionkit import fixtures, lts, process, randgen
 from sessionkit import types as ty
 
 
@@ -71,6 +71,17 @@ def test_bad_character_offset():
     # the offset points at the bad character, not at the space before it
     with pytest.raises(ty.TypeError_, match=r"offset 19: '\$'"):
         ty.parse_type("type S = +{ a: S } $")
+    # every lexing and parsing error ends with the line and column, 1-based
+    with pytest.raises(ty.TypeError_, match=r"offset 49: '\$' \(line 3, col 13\)$"):
+        ty.parse_type("type S = +{ a: S }\ntype T = &{ b: T,\n  c: end? } $")
+    with pytest.raises(ty.TypeError_, match=r"measure, got 'x' \(line 3, col 15\)$"):
+        ty.parse_type("type S = +{ a: S }\n\ntype T = &{ b@x: T }")
+    with pytest.raises(ty.TypeError_, match=r"end of input \(line 3, col 1\)$"):
+        ty.parse_type("# head\ntype S = +{ a: S,\n")
+    with pytest.raises(process.ProcessError, match=r"offset 36: '\$' \(line 3, col 11\)$"):
+        process.parse_program("sig A(x: end!)\ndef A(x) =\n    close $x")
+    with pytest.raises(process.ProcessError, match=r"got 'done' \(line 4, col 12\)$"):
+        process.parse_program("sig A(x: end!)\ndef A(x) =\n  x!a.\n    wait x done")
 
 
 def test_unknown_name():
@@ -231,3 +242,49 @@ def test_resolve_all_matches_resolve(raw):
     for name, t in every.items():
         assert t.nodes == ty.resolve(decls, name).nodes
     assert every["B"] == ty.Type(raw)
+
+
+FUZZ_SOURCES = [fixtures.SATELLITE_TYPES, fixtures.SLOT_TYPES, fixtures.VARIANCE_TYPES,
+                fixtures.ASYNC_TYPES, fixtures.SERVER_WORKER_TYPES, fixtures.SERVER_PROGRAM,
+                fixtures.LINK_SUBSUMPTION_PROGRAM, fixtures.DEADLOCK_PROGRAM,
+                fixtures.OMEGA_PROGRAM]
+FUZZ_TOKENS = ["(+)", "||", "><", "+{", "&{", "end!", "end?", "{", "}", "(", ")", "@", ":",
+               ",", ".", "!", "?", "=", "*", "#", "type", "sig", "def", "case", "new", "done",
+               "a", "x", "S", "0", "12", "$", "-", "é"]
+
+
+@st.composite
+def mutated_sources(draw):
+    """A fixture source after a few token deletions, duplications, replacements and swaps."""
+    toks = ty.Cursor(draw(st.sampled_from(FUZZ_SOURCES))).toks[:-1]
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = (draw(st.integers(0, len(toks) - 1)) for _ in range(2))
+        op = draw(st.sampled_from(["delete", "duplicate", "replace", "swap"]))
+        if op == "delete":
+            del toks[i]
+        elif op == "duplicate":
+            toks.insert(i, toks[i])
+        elif op == "replace":
+            toks[i] = draw(st.sampled_from(FUZZ_TOKENS))
+        else:
+            toks[i], toks[j] = toks[j], toks[i]
+    return " ".join(toks)
+
+
+labels_st = st.tuples(st.sampled_from(["?", "!", ""]),
+                      st.lists(st.sampled_from(FUZZ_TOKENS + [" ", "b1"]), max_size=5)
+                      ).map(lambda t: t[0] + "".join(t[1]))
+
+
+@given(mutated_sources(), labels_st)
+@settings(max_examples=300, deadline=None)
+def test_parsers_raise_only_their_errors(src, label):
+    for parse in (lambda s: ty.resolve_all(ty.parse_decls(s)), process.parse_program):
+        try:
+            parse(src)
+        except (ty.TypeError_, process.ProcessError):
+            pass
+    try:
+        lts.parse_label(label, ty.parse_decls(fixtures.SATELLITE_TYPES))
+    except ty.TypeError_:
+        pass
