@@ -197,8 +197,9 @@ def cmd_probe(args):
         raise _Usage("program has no main term to probe")
     ok = runtime.is_weakly_terminating_probe(prog.main, prog.defs, args.budget)
     _emit(args, {"weakly_terminating": ok},
-          "done is reachable" if ok else "done not reachable within budget")
-    return EXIT_YES if ok else EXIT_NO
+          {True: "done is reachable", False: "done is not reachable"}.get(
+              ok, "done not reached within budget"))
+    return {True: EXIT_YES, False: EXIT_NO}.get(ok, EXIT_UNKNOWN)
 
 
 def _load_machine(path: str) -> qm.QueueMachine:

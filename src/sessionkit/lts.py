@@ -11,6 +11,9 @@ in three modes:
 - ``full``: adds the fairness corules, then takes the greatest fixed point:
   actions that every fair run eventually performs.
 
+All three come from one engine, ``prune``: ``must`` is the axiom set, and
+each fixed point above it is a pruning of the nodes against their premises.
+
 ``derivative`` produces the type after an action, again as an automaton:
 nodes that fired an axiom continue into the original table, nodes that
 buffered continue into a "stepped" copy with the action pushed past them.
@@ -19,6 +22,7 @@ buffered continue into a "stepped" copy with the action pushed past them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import heapq
 
 from . import types as ty
 from .types import Type
@@ -129,6 +133,29 @@ def _may_premises(t: Type, nid: int, l: Label):
     return None
 
 
+def prune(keys, holds, users):
+    """Remove keys from a live set while ``holds(key, live)`` fails.
+
+    ``keys`` ascend, ``users[k]`` lists the keys whose ``holds`` reads ``k``,
+    and ``holds`` may only turn false as ``live`` shrinks.  Returns the live
+    set and the removal order, which is that of repeated ascending sweeps
+    until one removes nothing: a heap of ``(sweep, key)`` replays them but
+    revisits only the users of removed keys.
+    """
+    live, removed, last = set(keys), [], None
+    heap = [(0, k) for k in keys]
+    while heap:
+        item = r, k = heapq.heappop(heap)
+        if k in live and item != last and not holds(k, live):
+            live.discard(k)
+            removed.append(k)
+            for u in users[k]:
+                if u in live:  # later in this sweep, or in the next one
+                    heapq.heappush(heap, (r if u > k else r + 1, u))
+        last = item
+    return live, removed
+
+
 _ENABLED_CACHE: dict = {}
 
 
@@ -139,46 +166,30 @@ def enabled_nodes(t: Type, l: Label, mode: str) -> frozenset:
     if hit is not None:
         return hit
     ids = range(t.size())
-    ax = {n for n in ids if _axiom_target(t, n, l) is not None}
+    out = ax = {n for n in ids if _axiom_target(t, n, l) is not None}
+    if mode in ("ind", "full"):
+        fair = mode == "full"
+        prem = [_may_premises(t, n, l) for n in ids]
+        users = [[] for _ in ids]
+        for n in ids:
+            for c in prem[n] or ():
+                users[c].append(n)
 
-    def lfp(fair: bool) -> set:
-        cur = set(ax)
-        changed = True
-        while changed:
-            changed = False
-            for n in ids:
-                if n in cur:
-                    continue
-                prem = _may_premises(t, n, l)
-                if prem is None:
-                    continue
-                ok = all(c in cur for c in prem)
-                if fair and not ok and t.nodes[n][0] in ("plus", "with"):
-                    ok = any(c in cur for c in prem)
-                if ok:
-                    cur.add(n)
-                    changed = True
-        return cur
+        def underivable(n, live):  # fairly, a choice needs only one premise
+            p = prem[n]
+            if fair and t.nodes[n][0] in ("plus", "with"):
+                return p is None or bool(p) and live.issuperset(p)
+            return p is None or not live.isdisjoint(p)
 
-    if mode == "must":
-        out = frozenset(ax)
-    elif mode == "ind":
-        out = frozenset(lfp(fair=False))
-    elif mode == "full":
-        cur = lfp(fair=True)
-        changed = True
-        while changed:
-            changed = False
-            for n in list(cur):
-                if n in ax:
-                    continue
-                prem = _may_premises(t, n, l)
-                if prem is None or not all(c in cur for c in prem):
-                    cur.discard(n)
-                    changed = True
-        out = frozenset(cur)
-    else:
+        # the least fixed point is what stays outside the underivable nodes;
+        # full then keeps only the nodes whose premises all stay in it
+        stuck, _ = prune([n for n in ids if n not in ax], underivable, users)
+        out = [n for n in ids if n not in stuck]
+        if fair:
+            out, _ = prune(out, lambda n, live: n in ax or live.issuperset(prem[n]), users)
+    elif mode != "must":
         raise ValueError(f"unknown mode {mode!r}")
+    out = frozenset(out)
     if len(_ENABLED_CACHE) > 200_000:
         _ENABLED_CACHE.clear()
     _ENABLED_CACHE[ck] = out

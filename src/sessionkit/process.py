@@ -402,13 +402,27 @@ def _children(term):
 
 
 def _check_guardedness(prog: Program):
-    # only a bare chain of invocations (def A = B(...), def B = A(...)) is
-    # unguarded; anything else delays the next unfolding by a real step
-    for start in prog.defs:
-        seen = {start}
-        body = prog.defs[start][1]
-        while isinstance(body, Call):
-            if body.name in seen:
-                raise ProcessError(f"unguarded invocation cycle through {body.name!r}")
-            seen.add(body.name)
-            body = prog.defs[body.name][1]
+    # runtime.normalize unfolds, without a step, calls behind output prefixes,
+    # in fork continuations and on both sides of a cut: no cycle may pass there
+    def unfolded(term):
+        if isinstance(term, Call):
+            return [term.name]
+        if isinstance(term, (Select, Fork)):
+            return unfolded(term.cont)
+        if isinstance(term, Cut):
+            return unfolded(term.left) + unfolded(term.right)
+        return []
+
+    calls = {n: iter(unfolded(body)) for n, (_, body) in prog.defs.items()}
+    on_path = {}  # name -> still on the depth-first path?
+    for start in calls:
+        path = [] if start in on_path else [start]
+        while path:
+            on_path[path[-1]] = True
+            nxt = next(calls[path[-1]], None)
+            if nxt is None:
+                on_path[path.pop()] = False
+            elif on_path.get(nxt):
+                raise ProcessError(f"unguarded invocation cycle through {nxt!r}")
+            elif nxt not in on_path:
+                path.append(nxt)

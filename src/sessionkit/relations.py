@@ -3,14 +3,18 @@
 Every relation here is a largest fixed point over pairs of types: a pair is
 in the relation when every *challenge* (a transition one side must answer
 for) has a *response* whose successor pairs are again in the relation.  The
-solver explores pairs breadth-first up to a budget, then evaluates the game
-twice:
+solver explores pairs breadth-first up to a budget, then solves the game
+with ``lts.prune``:
 
 - pessimistically (unexplored pairs lose): if the root survives, the answer
   is a definite *yes* with an extractable witness;
-- optimistically (unexplored pairs win): if the root still fails, the answer
-  is a definite *no* with a replayable counterexample trace;
+- optimistically (unexplored pairs win, so the same game when there are
+  none): if the root still fails, the answer is a definite *no* with a
+  replayable counterexample trace;
 - otherwise *unknown*.
+
+The trace is read off the order in which ``lts.prune`` removes pairs, the
+order of repeated sweeps over the pairs as they were discovered.
 
 Budgets are monotone: growing them only turns unknowns into answers.
 
@@ -215,134 +219,99 @@ def check(S: Type, T: Type, kind: str, budget: Budget | None = None) -> Verdict:
                 warnings.append(f"{side} input is not fairly terminating")
 
     root = (S, T)
-    pairs = {root: {"status": "pending"}}  # (Type, Type) -> record
+    ids = {root: 0}  # pair -> number, in discovery order
     order = [root]
-    for key in order:  # grows as successors are discovered
-        rec = pairs[key]
-        if len(pairs) > b.max_pairs and key != root:
-            continue  # stays pending -> frontier
-        if key[0].size() > b.max_nodes_per_type or key[1].size() > b.max_nodes_per_type:
-            rec["status"] = "frontier"
+    users = [[]]  # number -> numbers of the pairs whose responses reach it
+    nodes = []  # number -> (pol_ok, challenges, successor numbers per response) | None
+
+    def number(pair, user):
+        j = ids.setdefault(pair, len(order))
+        if j == len(order):
+            order.append(pair)
+            users.append([])
+        users[j].append(user)
+        return j
+
+    for i, key in enumerate(order):  # grows as successors are discovered
+        if (i and len(order) > b.max_pairs) or \
+                max(key[0].size(), key[1].size()) > b.max_nodes_per_type:
+            nodes.append(None)  # frontier
             continue
         pol_ok, chs = _expand(kind, *key)
-        rec.update(status="expanded", pol_ok=pol_ok, challenges=chs)
-        for ch in chs:
-            for r in ch.responses:
-                for pair in r.succs:
-                    if pair not in pairs:
-                        pairs[pair] = {"status": "pending"}
-                        order.append(pair)
-    for rec in pairs.values():
-        if rec["status"] == "pending":
-            rec["status"] = "frontier"
+        succs = [[[number(p, i) for p in r.succs] for r in ch.responses] for ch in chs]
+        nodes.append((pol_ok, chs, succs))
 
-    def survivors(frontier_good: bool, removed_info: dict | None = None):
-        good = set(pairs)
-        seq = [0]
-        changed = True
-        while changed:
-            changed = False
-            for key in order:
-                if key not in good:
-                    continue
-                rec = pairs[key]
-                if rec["status"] != "expanded":
-                    ok = frontier_good
-                    cause = None
-                else:
-                    ok = rec["pol_ok"]
-                    cause = None if ok else "polarity"
-                    if ok:
-                        for ch in rec["challenges"]:
-                            if not any(all(s in good for s in r.succs)
-                                       for r in ch.responses):
-                                ok = False
-                                cause = ch
-                                break
-                if not ok:
-                    good.discard(key)
-                    if removed_info is not None:
-                        removed_info[key] = (seq[0], cause)
-                        seq[0] += 1
-                    changed = True
-        return good
+    def holds(i, live, frontier_good):
+        if nodes[i] is None:
+            return frontier_good
+        pol_ok, _, succs = nodes[i]
+        return pol_ok and all(any(live.issuperset(r) for r in rs) for rs in succs)
 
-    pess = survivors(frontier_good=False)
-    removed: dict = {}
-    opt = survivors(frontier_good=True, removed_info=removed)
-
-    n_frontier = sum(1 for r in pairs.values() if r["status"] != "expanded")
-    stats = {"pairs_explored": len(pairs),
-             "pairs_expanded": len(pairs) - n_frontier,
+    n_frontier = nodes.count(None)
+    stats = {"pairs_explored": len(order),
+             "pairs_expanded": len(order) - n_frontier,
              "pairs_frontier": n_frontier,
              "max_pairs": b.max_pairs}
 
-    if root in pess:
-        witness = _extract_witness(pairs, root, pess)
+    keys = range(len(order))
+    pess, removed = lts.prune(keys, functools.partial(holds, frontier_good=False), users)
+    if 0 in pess:
+        witness = _extract_witness(nodes, order, pess)
         return Verdict(kind, "yes", witness=witness, stats=stats, warnings=warnings)
-    if root not in opt:
-        trace, reason = _extract_trace(pairs, root, removed)
+    opt = pess
+    if n_frontier:  # the optimistic game differs only where pairs are unexplored
+        opt, removed = lts.prune(keys, functools.partial(holds, frontier_good=True), users)
+    if 0 not in opt:
+        trace, reason = _extract_trace(nodes, order, removed)
         return Verdict(kind, "no", trace=trace, reason=reason, stats=stats,
                        warnings=warnings)
     return Verdict(kind, "unknown", stats=stats, warnings=warnings,
                    reason="budget exhausted before the game closed")
 
 
-def _extract_witness(pairs, root, good):
+def _extract_witness(nodes, order, good):
     """The pairs the first surviving responses reach, root first, in BFS order."""
-    keep = [root]
-    kept = {root}
-    for key in keep:
-        for ch in pairs[key]["challenges"]:
-            chosen = next(r for r in ch.responses
-                          if all(s in good for s in r.succs))
-            for s in chosen.succs:
-                if s not in kept:
-                    kept.add(s)
-                    keep.append(s)
-    return keep
+    keep = [0]
+    kept = {0}
+    for i in keep:
+        for rs in nodes[i][2]:
+            chosen = next(r for r in rs if good.issuperset(r))
+            for j in chosen:
+                if j not in kept:
+                    kept.add(j)
+                    keep.append(j)
+    return [order[i] for i in keep]
 
 
-def _extract_trace(pairs, root, removed):
+def _extract_trace(nodes, order, removed):
+    """Follow the optimistic game's removals from the root to a violation."""
+    rank = {i: n for n, i in enumerate(removed)}
     steps = []
-    key = root
-    reason = None
-    for _ in range(len(pairs) + 1):
-        rec = pairs[key]
-        pair_txt = [ty.render_inline(key[0]), ty.render_inline(key[1])]
-        seq, cause = removed[key]
-        if cause == "polarity":
+    i = 0
+    while True:
+        pol_ok, chs, succs = nodes[i]
+        pair_txt = [ty.render_inline(x) for x in order[i]]
+        if not pol_ok:
             steps.append({"pair": pair_txt, "clause": "polarity", "label": None,
-                          "note": "both endpoints negative" if rec.get("pol_ok") is False else None})
-            reason = reason or "polarity violation"
-            break
-        ch = cause
-        if not ch.responses:
+                          "note": "both endpoints negative"})
+            return steps, "polarity violation"
+        cut = rank[i]
+        for ch, rs in zip(chs, succs):
+            hits = [[j for j in js if rank.get(j, cut) < cut] for js in rs]
+            if all(hits):
+                break
+        if not rs:
             steps.append({"pair": pair_txt, "clause": ch.clause, "label": ch.label,
                           "note": ch.note or "no response"})
-            reason = reason or (("measure mismatch" if ch.note and "measure" in ch.note
-                                 else None) or f"unanswered challenge in {ch.clause}")
-            break
-        # every response has a successor refuted strictly earlier; follow the
-        # earliest-refuted one down to a ground violation
-        best = None
-        for r in ch.responses:
-            for s in r.succs:
-                if s in removed and removed[s][0] < seq:
-                    if best is None or removed[s][0] < best[0]:
-                        best = (removed[s][0], r, s)
-        if best is None:  # response blocked by a frontier pair: shouldn't happen in a "no"
-            steps.append({"pair": pair_txt, "clause": ch.clause, "label": ch.label,
-                          "note": "refutation passes through unexplored pairs"})
-            reason = reason or "incomplete trace"
-            break
-        _, r, nxt = best
+            return steps, ("measure mismatch" if ch.note and "measure" in ch.note
+                           else f"unanswered challenge in {ch.clause}")
+        r, nxt = min(((r, j) for r, js in zip(ch.responses, hits) for j in js),
+                     key=lambda p: rank[p[1]])
         steps.append({"pair": pair_txt, "clause": ch.clause, "label": ch.label,
                       "response": r.label,
-                      "_next_key": nxt,
-                      "next": [ty.render_inline(nxt[0]), ty.render_inline(nxt[1])]})
-        key = nxt
-    return steps, reason
+                      "_next_key": order[nxt],
+                      "next": [ty.render_inline(x) for x in order[nxt]]})
+        i = nxt
 
 
 # ---------------------------------------------------------------------------

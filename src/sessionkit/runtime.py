@@ -476,8 +476,12 @@ def run(term_or_config, defs=None, scheduler=None, max_steps=1000,
     return RunResult("BudgetExhausted", max_steps, c, trace)
 
 
-def is_weakly_terminating_probe(c, defs=None, budget=2000) -> bool:
-    """Can this configuration still reach done?  Bounded breadth-first search."""
+def is_weakly_terminating_probe(c, defs=None, budget=2000) -> bool | None:
+    """Can this configuration still reach done?  Bounded breadth-first search.
+
+    False only when every reachable configuration was explored; None when
+    the budget ran out with configurations still queued.
+    """
     defs = defs or {}
     fresh = _Fresh()
     if not isinstance(c, (Thread, CutNode)):
@@ -497,4 +501,4 @@ def is_weakly_terminating_probe(c, defs=None, budget=2000) -> bool:
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    return False
+    return None if queue else False

@@ -1,10 +1,14 @@
+import contextlib
 import glob
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sessionkit import cli, fixtures
 from sessionkit import types as ty
@@ -29,6 +33,18 @@ def server(tmp_path):
     p = tmp_path / "server.cap"
     p.write_text(fixtures.SERVER_PROGRAM)
     return str(p)
+
+
+# definitions that call themselves behind outputs, a fork or a cut: the
+# runtime would unfold them forever without taking a step
+LOOP_PROGRAMS = [
+    "type T = +{ a: T, b: end! }\ntype D = &{ a: D, b: end? }\n"
+    "sig A(x: T)\nsig B(x: D)\ndef A(x) = x!a.A(x)\n"
+    "def B(x) = case x { a: B(x), b: wait x.done }\n"
+    "new x : T >< D { A(x) || B(x) }",
+    "def A(x) = x!(y) { close y } . A(x)\nnew x : end! >< end? { A(x) || wait x.done }",
+    "def A() = new z : end! >< end? { A() || wait z . done }\nA()",
+]
 
 
 def run(capsys, *argv):
@@ -83,12 +99,18 @@ def test_typecheck_assume(capsys, server):
     assert "assumed" in out
 
 
-def test_run_and_probe(capsys, server):
+def test_run_and_probe(capsys, server, tmp_path):
     code, out = run(capsys, "run", server, "--scheduler", "minmeasure",
                     "--max-steps", "200")
     assert code == 0 and "DoneReached" in out
     code, _ = run(capsys, "probe", server, "--budget", "500")
     assert code == 0
+    code, out = run(capsys, "probe", server, "--budget", "20")
+    assert code == 2 and "within budget" in out  # search cut short: unknown
+    omega = tmp_path / "omega.cap"
+    omega.write_text(fixtures.OMEGA_PROGRAM)
+    code, out = run(capsys, "probe", str(omega), "--budget", "20")
+    assert code == 1 and "done is not reachable" in out  # explored in full
 
 
 def test_run_writes_trace(capsys, server, tmp_path):
@@ -143,6 +165,13 @@ def test_usage_errors_exit_3(capsys, tmp_path, sat):
         assert cli.main([cmd, str(bad_prog)]) == 3
     err = capsys.readouterr().err
     assert err.count("error: bad character at offset 11") == 3
+    for i, src in enumerate(LOOP_PROGRAMS):
+        loop = tmp_path / f"loop{i}.cap"
+        loop.write_text(src)
+        for cmd in ("typecheck", "run", "probe"):
+            assert cli.main([cmd, str(loop)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error: unguarded invocation cycle through 'A'") == 9
     for label in ("!a@x", "!a@1@2", "!a@-1", "!é"):
         assert cli.main(["step", sat, "S", "--label", label]) == 3
     err = capsys.readouterr().err
@@ -218,3 +247,45 @@ def test_witness_order_ignores_hash_seed(sat):
              sat, "S", "U"], env=env, capture_output=True, text=True))
     assert outs[0].returncode == 0 and "witness" in outs[0].stdout
     assert outs[0].stdout == outs[1].stdout
+
+
+_PROGRAMS = [fixtures.SERVER_PROGRAM, fixtures.LINK_SUBSUMPTION_PROGRAM,
+             fixtures.DEADLOCK_PROGRAM, fixtures.OMEGA_PROGRAM]
+
+
+@st.composite
+def mutated_programs(draw):
+    src = draw(st.sampled_from(_PROGRAMS))
+    toks = [m[m.lastindex] for m in ty._TOKEN.finditer(src) if m.lastindex]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(toks) - 1))
+        op = draw(st.sampled_from(("drop", "copy", "swap", "replace")))
+        if op == "drop":
+            del toks[i]
+        elif op == "copy":
+            toks.insert(i, toks[i])
+        elif op == "swap" and i + 1 < len(toks):
+            toks[i], toks[i + 1] = toks[i + 1], toks[i]
+        elif op == "replace":  # by a token of the same kind, to get past the parser
+            toks[i] = draw(st.sampled_from([t for t in toks if t.isidentifier()
+                                            == toks[i].isidentifier()]))
+    return " ".join(toks)
+
+
+@given(mutated_programs())
+@example(LOOP_PROGRAMS[0])
+@example(LOOP_PROGRAMS[1])
+@example(LOOP_PROGRAMS[2])
+@settings(max_examples=100, deadline=None)
+def test_cli_survives_mutated_programs(src):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "p.cap")
+        with open(path, "w") as fh:
+            fh.write(src)
+        for argv in (["typecheck", path, "--budget", "30"],
+                     ["run", path, "--max-steps", "30"],
+                     ["probe", path, "--budget", "30"]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            assert code in (0, 1, 2, 3), argv

@@ -163,3 +163,96 @@ def test_diamond(t):
             ba = lts.derivative(b, li, "full")
             assert ab is not None and ba is not None
             assert ty.equiv(ab, ba)
+
+
+def _sweep(keys, holds):
+    """Reference for lts.prune: ascending sweeps until one removes nothing."""
+    live, removed = set(keys), []
+    changed = True
+    while changed:
+        changed = False
+        for k in keys:
+            if k in live and not holds(k, live):
+                live.discard(k)
+                removed.append(k)
+                changed = True
+    return live, removed
+
+
+@st.composite
+def and_or_games(draw):
+    n = draw(st.integers(1, 12))
+    gates = draw(st.lists(st.tuples(st.sampled_from((all, any)),
+                                    st.lists(st.integers(0, n - 1), max_size=4)),
+                          min_size=n, max_size=n))
+    keys = sorted(draw(st.sets(st.integers(0, n - 1))))
+    return keys, gates
+
+
+@given(and_or_games())
+@settings(max_examples=300, deadline=None)
+def test_prune_replays_the_sweeps(game):
+    keys, gates = game
+
+    def holds(k, live):
+        gate, succs = gates[k]
+        return gate(s in live for s in succs)
+
+    users = [[k for k in keys if j in gates[k][1]] for j in range(len(gates))]
+    assert lts.prune(keys, holds, users) == _sweep(keys, holds)
+
+
+def _chaotic_enabled(t, l, mode):
+    """Reference for lts.enabled_nodes: plain chaotic iteration of the rules."""
+    ids = range(t.size())
+    ax = {n for n in ids if lts._axiom_target(t, n, l) is not None}
+
+    def lfp(fair):
+        cur = set(ax)
+        changed = True
+        while changed:
+            changed = False
+            for n in ids:
+                prem = lts._may_premises(t, n, l)
+                if n in cur or prem is None:
+                    continue
+                ok = all(c in cur for c in prem)
+                if fair and not ok and t.nodes[n][0] in ("plus", "with"):
+                    ok = any(c in cur for c in prem)
+                if ok:
+                    cur.add(n)
+                    changed = True
+        return cur
+
+    if mode == "ind":
+        return lfp(fair=False)
+    cur = lfp(fair=True)
+    changed = True
+    while changed:
+        changed = False
+        for n in list(cur):
+            prem = lts._may_premises(t, n, l)
+            if n not in ax and (prem is None or not all(c in cur for c in prem)):
+                cur.discard(n)
+                changed = True
+    return cur
+
+
+def _candidate_labels(t):
+    for d in ("in", "out"):
+        yield lts.star(d)
+        for b in t.nodes:
+            if b[0] in ("plus", "with"):
+                for tg, m, _ in b[1]:
+                    yield lts.tag(d, tg, m)
+            elif b[0] in ("times", "par"):
+                yield lts.chan(d, t.at(b[1]))
+
+
+@given(st.integers(0, 10**9), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_enabled_nodes_match_chaotic_iteration(seed, higher_order):
+    t = auto(seed, higher_order=higher_order)
+    for l in _candidate_labels(t):
+        for mode in ("ind", "full"):
+            assert lts.enabled_nodes(t, l, mode) == _chaotic_enabled(t, l, mode)
