@@ -151,8 +151,6 @@ def cmd_typecheck(args):
     prog = process.parse_program(src)
     rep = measures.typecheck(prog, assume_cuts=args.assume,
                              budget=relations.Budget(max_pairs=args.budget))
-    obj = {"status": rep.status, "reasons": rep.reasons,
-           "obligations": rep.obligations, "measures": rep.measures}
     text = [f"status: {rep.status}"]
     text += [f"  reason: {r}" for r in rep.reasons]
     for ob in rep.obligations:
@@ -160,7 +158,7 @@ def cmd_typecheck(args):
     if rep.measures:
         text.append("  measures: " + ", ".join(
             f"{k}={v}" for k, v in sorted(rep.measures.items())))
-    _emit(args, obj, "\n".join(text))
+    _emit(args, rep.to_json(), "\n".join(text))
     return {"WellTyped": EXIT_YES, "IllTyped": EXIT_NO}.get(rep.status, EXIT_UNKNOWN)
 
 

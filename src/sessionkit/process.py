@@ -145,12 +145,19 @@ def free_names(p) -> frozenset:
     raise ProcessError(f"not a term: {p!r}")
 
 
-def rename(p, sub: dict):
-    """Capture-avoiding only under the assumption that bound names are fresh;
-    the runtime freshens every binder before substituting."""
-    if not sub:
+def rename(p, sub: dict, fresh=None):
+    """Substitute ``sub`` for the free names of ``p``.
+
+    Without ``fresh`` a binder keeps its name and hides itself from ``sub``
+    in its scope; this avoids capture only when no value of ``sub`` is bound
+    in ``p``.  With ``fresh`` every binder (fork and receive ``y``, cut ``x``)
+    becomes ``fresh(binder)`` in pre-order (the binder, then the payload or
+    left side, then the continuation or right side) and its scope is renamed
+    in the same walk, so the result never captures.
+    """
+    if not sub and fresh is None:
         return p
-    r = lambda q: rename(q, sub)
+    r = lambda q: rename(q, sub, fresh)
     s = lambda n: sub.get(n, n)
     if isinstance(p, Done):
         return p
@@ -165,20 +172,28 @@ def rename(p, sub: dict):
     if isinstance(p, Case):
         return Case(s(p.x), tuple((t, r(q)) for t, q in p.branches))
     if isinstance(p, Fork):
-        inner = {k: v for k, v in sub.items() if k != p.y}
-        return Fork(s(p.x), p.y, rename(p.payload, inner), r(p.cont))
+        inner, y = _bind(sub, p.y, fresh)
+        return Fork(s(p.x), y, rename(p.payload, inner, fresh), r(p.cont))
     if isinstance(p, Join):
-        inner = {k: v for k, v in sub.items() if k != p.y}
-        return Join(s(p.x), p.y, rename(p.cont, inner))
+        inner, y = _bind(sub, p.y, fresh)
+        return Join(s(p.x), y, rename(p.cont, inner, fresh))
     if isinstance(p, Choice):
         return Choice(r(p.left), r(p.right))
     if isinstance(p, Cut):
-        inner = {k: v for k, v in sub.items() if k != p.x}
-        return Cut(p.x, p.left_type, p.right_type,
-                   rename(p.left, inner), rename(p.right, inner), p.cut_id)
+        inner, x = _bind(sub, p.x, fresh)
+        return Cut(x, p.left_type, p.right_type, rename(p.left, inner, fresh),
+                   rename(p.right, inner, fresh), p.cut_id)
     if isinstance(p, Call):
         return Call(p.name, tuple(s(a) for a in p.args))
     raise ProcessError(f"not a term: {p!r}")
+
+
+def _bind(sub, name, fresh):
+    """The substitution in a binder's scope, and the binder's new name."""
+    if fresh is None:
+        return {k: v for k, v in sub.items() if k != name}, name
+    new = fresh(name)
+    return {**sub, name: new}, new
 
 
 # ---------------------------------------------------------------------------

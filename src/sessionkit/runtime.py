@@ -7,6 +7,12 @@ item for the cut's channel on one side meets the guard on the other side.
 
 This realizes asynchrony: a sender deposits its outputs into its own pending
 list and moves on; matching is deferred until a receiver is ready.
+
+Every channel name occurs in exactly one session of the tree.  Names become
+fresh in two places: when ``normalize`` unfolds a definition, ``process.rename``
+gives every binder of the copied body a fresh name while it substitutes the
+arguments; and ``to_configuration_raw`` freshens each fork and cut binder that
+it strips into a pending item or a cut node.
 """
 
 from __future__ import annotations
@@ -76,14 +82,12 @@ class _Fresh:
 # building configurations from terms
 
 
-def to_configuration(term, defs=None, fresh: _Fresh | None = None):
-    """Strip output prefixes into pending lists; mirror cuts as tree nodes.
-
-    Cut channels and fork binders are renamed to fresh names so that every
-    channel name occurs in exactly one session of the tree.
-    """
-    fresh = fresh or _Fresh()
-    return normalize(to_configuration_raw(term, fresh), defs or {}, fresh)
+def to_configuration(term_or_config, defs=None, fresh: _Fresh | None = None):
+    """Normalize a configuration, or a bare term as a thread with nothing
+    pending, under the definitions ``defs``."""
+    if not isinstance(term_or_config, (Thread, CutNode)):
+        term_or_config = Thread((), term_or_config)
+    return normalize(term_or_config, defs or {}, fresh or _Fresh())
 
 
 def push_items(c, items):
@@ -114,74 +118,52 @@ def push_items(c, items):
 
 
 def normalize(c, defs, fresh):
-    """Unfold invocations at guard position and re-split exposed prefixes."""
+    """Unfold invocations at guard position and re-split exposed prefixes.
+
+    A thread loops until its guard is neither a call nor a prefix that
+    ``to_configuration_raw`` strips; only the two sides of a cut recurse.
+    """
+    while isinstance(c, Thread) and isinstance(c.guard, (Call, Select, Fork, Cut)):
+        guard = c.guard
+        if isinstance(guard, Call):
+            if guard.name not in defs:
+                raise ProcessError(f"call to unknown definition {guard.name!r}")
+            params, body = defs[guard.name]
+            guard = pr.rename(body, dict(zip(params, guard.args)), fresh)
+        c = push_items(to_configuration_raw(guard, fresh), list(c.pending))
     if isinstance(c, CutNode):
         return CutNode(c.chan, normalize(c.left, defs, fresh),
                        normalize(c.right, defs, fresh))
-    guard = c.guard
-    if isinstance(guard, Call):
-        if guard.name not in defs:
-            raise ProcessError(f"call to unknown definition {guard.name!r}")
-        params, body = defs[guard.name]
-        body = _freshen(body, fresh)
-        body = pr.rename(body, dict(zip(params, guard.args)))
-        inner = to_configuration_raw(body, fresh)
-        merged = push_items(inner, list(c.pending))
-        return normalize(merged, defs, fresh)
-    if isinstance(guard, (Select, Fork, Cut)):
-        inner = to_configuration_raw(guard, fresh)
-        merged = push_items(inner, list(c.pending))
-        return normalize(merged, defs, fresh)
     return c
 
 
 def to_configuration_raw(term, fresh):
-    def build(t):
+    """Strip output prefixes into pending lists and mirror cuts as tree nodes.
+
+    Each fork and cut binder gets a fresh name, carried down as a
+    substitution that renames each thread's guard once, at its leaf.
+    """
+    def build(t, sub):
         pending = []
         while True:
             if isinstance(t, Select):
-                pending.append(TagOut(t.x, t.tag))
+                pending.append(TagOut(sub.get(t.x, t.x), t.tag))
                 t = t.cont
             elif isinstance(t, Fork):
                 y = fresh(t.y)
-                pending.append(ChanOut(t.x, y, build(pr.rename(t.payload, {t.y: y}))))
+                pending.append(ChanOut(sub.get(t.x, t.x), y,
+                                       build(t.payload, {**sub, t.y: y})))
                 t = t.cont
             else:
                 break
         if isinstance(t, Cut):
             x = fresh(t.x)
-            node = CutNode(x, build(pr.rename(t.left, {t.x: x})),
-                           build(pr.rename(t.right, {t.x: x})))
+            inner = {**sub, t.x: x}
+            node = CutNode(x, build(t.left, inner), build(t.right, inner))
             return push_items(node, pending)
-        return Thread(tuple(pending), t)
+        return Thread(tuple(pending), pr.rename(t, sub))
 
-    return build(term)
-
-
-def _freshen(term, fresh):
-    """Rename every binder in a definition body to a globally fresh name."""
-    if isinstance(term, Fork):
-        y = fresh(term.y)
-        return Fork(term.x, y,
-                    _freshen(pr.rename(term.payload, {term.y: y}), fresh),
-                    _freshen(term.cont, fresh))
-    if isinstance(term, Join):
-        y = fresh(term.y)
-        return Join(term.x, y, _freshen(pr.rename(term.cont, {term.y: y}), fresh))
-    if isinstance(term, Cut):
-        x = fresh(term.x)
-        return Cut(x, term.left_type, term.right_type,
-                   _freshen(pr.rename(term.left, {term.x: x}), fresh),
-                   _freshen(pr.rename(term.right, {term.x: x}), fresh),
-                   term.cut_id)
-    if isinstance(term, (Wait, Select)):
-        return type(term)(**{**{f: getattr(term, f) for f in term.__dataclass_fields__},
-                             "cont": _freshen(term.cont, fresh)})
-    if isinstance(term, Case):
-        return Case(term.x, tuple((t, _freshen(q, fresh)) for t, q in term.branches))
-    if isinstance(term, Choice):
-        return Choice(_freshen(term.left, fresh), _freshen(term.right, fresh))
-    return term
+    return build(term, {})
 
 
 def rename_config(c, old, new):
@@ -299,37 +281,27 @@ def step(c, r: Redex, fresh: _Fresh):
     node = _subtree(c, r.path)
     x = node.chan
 
-    if r.rule == "select":
-        side, spath, rpath, tag = r.detail
-        mine = node.left if side == "l" else node.right
-        other = node.right if side == "l" else node.left
-        sth = _subtree(mine, spath)
-        idx, _ = _first_item_on(sth, x)
-        mine = _replace(mine, spath,
-                             Thread(sth.pending[:idx] + sth.pending[idx + 1:], sth.guard))
-        rth = _subtree(other, rpath)
-        cont = dict(rth.guard.branches)[tag]
-        other = _replace(other, rpath, Thread(rth.pending, cont))
-        left, right = (mine, other) if side == "l" else (other, mine)
-        return _replace(c, r.path, CutNode(x, left, right))
-
-    if r.rule == "fork":
-        side, spath, rpath = r.detail
+    if r.rule in ("select", "fork"):
+        side, spath, rpath = r.detail[:3]
         mine = node.left if side == "l" else node.right
         other = node.right if side == "l" else node.left
         sth = _subtree(mine, spath)
         idx, item = _first_item_on(sth, x)
         mine = _replace(mine, spath,
-                             Thread(sth.pending[:idx] + sth.pending[idx + 1:], sth.guard))
+                        Thread(sth.pending[:idx] + sth.pending[idx + 1:], sth.guard))
         rth = _subtree(other, rpath)
-        g = rth.guard  # Join(x, z, cont)
-        other = _replace(other, rpath,
-                              Thread(rth.pending,
-                                     pr.rename(g.cont, {g.y: item.bound})))
+        g = rth.guard  # Case(x, branches) or Join(x, z, cont)
+        if r.rule == "select":
+            cont = dict(g.branches)[item.tag]
+        else:
+            cont = pr.rename(g.cont, {g.y: item.bound})
+        other = _replace(other, rpath, Thread(rth.pending, cont))
         left, right = (mine, other) if side == "l" else (other, mine)
-        # the payload becomes one side of a brand-new cut on the sent channel
-        return _replace(c, r.path, CutNode(item.bound, item.payload,
-                                           CutNode(x, left, right)))
+        node = CutNode(x, left, right)
+        if r.rule == "fork":
+            # the payload becomes one side of a brand-new cut on the sent channel
+            node = CutNode(item.bound, item.payload, node)
+        return _replace(c, r.path, node)
 
     if r.rule == "close":
         side, rpath = r.detail
@@ -448,11 +420,9 @@ class RunResult:
 
 def run(term_or_config, defs=None, scheduler=None, max_steps=1000,
         collect_trace=False, prefix_hook=None) -> RunResult:
+    defs = defs or {}
     fresh = _Fresh()
-    if isinstance(term_or_config, (Thread, CutNode)):
-        c = normalize(term_or_config, defs or {}, fresh)
-    else:
-        c = to_configuration(term_or_config, defs or {}, fresh)
+    c = to_configuration(term_or_config, defs, fresh)
     sched = scheduler or MinMeasure()
     trace = []
     for n in range(max_steps):
@@ -470,7 +440,7 @@ def run(term_or_config, defs=None, scheduler=None, max_steps=1000,
             entry["scheduler"] = getattr(sched, "name", "?")
             trace.append(entry)
         c = step(c, r, fresh)
-        c = normalize(c, defs or {}, fresh)
+        c = normalize(c, defs, fresh)
     if is_done(c):
         return RunResult("DoneReached", max_steps, c, trace)
     return RunResult("BudgetExhausted", max_steps, c, trace)
@@ -484,10 +454,7 @@ def is_weakly_terminating_probe(c, defs=None, budget=2000) -> bool | None:
     """
     defs = defs or {}
     fresh = _Fresh()
-    if not isinstance(c, (Thread, CutNode)):
-        c = to_configuration(c, defs, fresh)
-    else:
-        c = normalize(c, defs, fresh)
+    c = to_configuration(c, defs, fresh)
     seen = {c}  # configurations compare and hash structurally
     queue = [c]
     explored = 0

@@ -151,3 +151,96 @@ def test_config_key_is_structural():
     a = runtime.to_configuration(prog.main, prog.defs)
     b = runtime.to_configuration(prog.main, prog.defs)
     assert a is not b and a == b and hash(a) == hash(b)
+
+
+# Reference substitution: every binder renamed by its own walk over its
+# scope, then the arguments substituted by a second walk.
+def _freshen(term, fresh):
+    P = process
+    if isinstance(term, P.Fork):
+        y = fresh(term.y)
+        return P.Fork(term.x, y,
+                      _freshen(P.rename(term.payload, {term.y: y}), fresh),
+                      _freshen(term.cont, fresh))
+    if isinstance(term, P.Join):
+        y = fresh(term.y)
+        return P.Join(term.x, y, _freshen(P.rename(term.cont, {term.y: y}), fresh))
+    if isinstance(term, P.Cut):
+        x = fresh(term.x)
+        return P.Cut(x, term.left_type, term.right_type,
+                     _freshen(P.rename(term.left, {term.x: x}), fresh),
+                     _freshen(P.rename(term.right, {term.x: x}), fresh),
+                     term.cut_id)
+    if isinstance(term, (P.Wait, P.Select)):
+        return type(term)(**{**{f: getattr(term, f) for f in term.__dataclass_fields__},
+                             "cont": _freshen(term.cont, fresh)})
+    if isinstance(term, P.Case):
+        return P.Case(term.x, tuple((t, _freshen(q, fresh)) for t, q in term.branches))
+    if isinstance(term, P.Choice):
+        return P.Choice(_freshen(term.left, fresh), _freshen(term.right, fresh))
+    return term
+
+
+# Reference configuration builder: each fork or cut binder renames its
+# whole scope before the scope is built.
+def _to_configuration_raw(term, fresh):
+    P, R = process, runtime
+
+    def build(t):
+        pending = []
+        while True:
+            if isinstance(t, P.Select):
+                pending.append(R.TagOut(t.x, t.tag))
+                t = t.cont
+            elif isinstance(t, P.Fork):
+                y = fresh(t.y)
+                pending.append(R.ChanOut(t.x, y, build(P.rename(t.payload, {t.y: y}))))
+                t = t.cont
+            else:
+                break
+        if isinstance(t, P.Cut):
+            x = fresh(t.x)
+            node = R.CutNode(x, build(P.rename(t.left, {t.x: x})),
+                             build(P.rename(t.right, {t.x: x})))
+            return R.push_items(node, pending)
+        return R.Thread(tuple(pending), t)
+
+    return build(term)
+
+
+# binders that reuse a parameter's name, on forks, receives and cuts
+SHADOWING_PROGRAMS = [
+    "def S(x, y) = x!(y) { close y } . new y : end! >< end? "
+    "{ close y || wait y . x!(x) { close x } . close x }\n"
+    "def C(x, w) = x?(w) . wait w . x?(y) . wait y . wait x . done\n"
+    "new x : end! >< end? { S(x, x) || C(x, x) }",
+    "def P(x, y) = new x : end! >< end? { y!(x) { close x } . close x || wait x . Q(y) }\n"
+    "def Q(y) = y!(y) { new y : end! >< end? { close y || wait y . close y } } . close y\n"
+    "def R(y) = (y?(a) . wait a . y?(b) . wait b . wait y . done) (+) "
+    "(y?(y) . wait y . done)\n"
+    "new y : end! >< end? { P(y, y) || R(y) }",
+]
+
+
+def test_rename_with_fresh_matches_freshen_then_rename():
+    sources = [f["source"] for f in fixtures.corpus() if f["kind"] == "program"]
+    bodies = []
+    for src in sources + SHADOWING_PROGRAMS:
+        prog = parse(src)
+        bodies += [(ps, body) for ps, body in prog.defs.values()]
+        if prog.main is not None:
+            bodies.append(((), prog.main))
+    assert len(bodies) > 10
+    new, ref = runtime._Fresh(), runtime._Fresh()
+    for params, body in bodies:
+        # the identity, and a rotation that maps parameters onto each other
+        for args in (params, params[1:] + params[:1]):
+            sub = dict(zip(params, args))
+            got = process.rename(body, sub, new)
+            assert got == process.rename(_freshen(body, ref), sub)
+            assert new.n == ref.n
+            for term in (body, got):
+                assert runtime.to_configuration_raw(term, new) \
+                    == _to_configuration_raw(term, ref)
+                assert new.n == ref.n
+    assert new.n > 50

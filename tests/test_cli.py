@@ -141,6 +141,24 @@ def test_json_mode(capsys, sat):
     assert blob["witness"]
 
 
+def _strict(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_json_output_is_strict(capsys, sat, sw, server, tmp_path):
+    omega = tmp_path / "omega.cap"
+    omega.write_text(fixtures.OMEGA_PROGRAM)
+    for argv in (["typecheck", str(omega)], ["typecheck", server],
+                 ["run", server], ["probe", server],
+                 ["subtype", "--rel", "fair", sat, "S", "U"],
+                 ["compose", sw, "S", "U"], ["corpus", "run"]):
+        code, out = run(capsys, "--json", *argv)
+        assert code in (0, 1, 2), argv
+        json.loads(out, parse_constant=_strict)
+    code, out = run(capsys, "--json", "typecheck", str(omega))
+    assert json.loads(out)["measures"] == {"Omega": "Infinity"}
+
+
 def test_corpus_list(capsys):
     code, out = run(capsys, "corpus", "list")
     assert code == 0
@@ -224,6 +242,14 @@ def test_deep_types_exit_cleanly(capsys, tmp_path):
     code, out = run(capsys, "compose", str(deep), "T0", "T0", "--max-nodes", "1000")
     assert code == 1 and "counterexample" in out
     assert out.count("&{a: ") == 2 * 520
+    # 1500 definitions, each a bare call of the next: unfolded without a step
+    calls = tmp_path / "calls.cap"
+    calls.write_text("".join(f"def A{i}() = A{i + 1}()\n" for i in range(1500))
+                     + "def A1500() = done\nA0()\n")
+    code, out = run(capsys, "run", str(calls))
+    assert code == 0 and out.strip() == "DoneReached after 0 steps"
+    code, out = run(capsys, "probe", str(calls))
+    assert code == 0 and out.strip() == "done is reachable"
 
 
 def test_demos_run():
