@@ -17,6 +17,10 @@ each fixed point above it is a pruning of the nodes against their premises.
 ``derivative`` produces the type after an action, again as an automaton:
 nodes that fired an axiom continue into the original table, nodes that
 buffered continue into a "stepped" copy with the action pushed past them.
+
+``enabled_nodes``, ``derivative`` and ``enumerate_labels`` keep their results
+in the ``memo`` of the type they are asked about, which every bisimilar type
+shares while it lives; there is no module-level cache.
 """
 
 from __future__ import annotations
@@ -156,13 +160,10 @@ def prune(keys, holds, users):
     return live, removed
 
 
-_ENABLED_CACHE: dict = {}
-
-
 def enabled_nodes(t: Type, l: Label, mode: str) -> frozenset:
     """Set of node ids of ``t`` that derive ``l`` in ``mode``."""
-    ck = (t, l, mode)
-    hit = _ENABLED_CACHE.get(ck)
+    memo, ck = t.memo, ("enabled", l, mode)
+    hit = memo.get(ck)
     if hit is not None:
         return hit
     ids = range(t.size())
@@ -189,10 +190,7 @@ def enabled_nodes(t: Type, l: Label, mode: str) -> frozenset:
             out, _ = prune(out, lambda n, live: n in ax or live.issuperset(prem[n]), users)
     elif mode != "must":
         raise ValueError(f"unknown mode {mode!r}")
-    out = frozenset(out)
-    if len(_ENABLED_CACHE) > 200_000:
-        _ENABLED_CACHE.clear()
-    _ENABLED_CACHE[ck] = out
+    out = memo[ck] = frozenset(out)
     return out
 
 
@@ -208,8 +206,12 @@ def derivative(t: Type, l: Label, mode: str = "full") -> Type | None:
     pushed past the node into its continuations.  The product's node ids are
     ``("o" | "s", node)``; ``Type`` minimizes it.
     """
-    en = enabled_nodes(t, l, mode)
-    if t.root not in en:
+    memo, ck = t.memo, ("derivative", l, mode)
+    hit = memo.get(ck, False)  # None is a result: not enabled
+    if hit is not False:
+        return hit
+    if t.root not in enabled_nodes(t, l, mode):
+        memo[ck] = None
         return None
 
     def ref(n):
@@ -242,7 +244,8 @@ def derivative(t: Type, l: Label, mode: str = "full") -> Type | None:
             queue.extend(c for _, _, c in body[1])
         elif body[0] in ("times", "par"):
             queue.extend([body[1], body[2]])
-    return Type(nodes, root)
+    out = memo[ck] = Type(nodes, root)
+    return out
 
 
 def enumerate_labels(t: Type, direction: str, mode: str = "full") -> list:
@@ -252,6 +255,10 @@ def enumerate_labels(t: Type, direction: str, mode: str = "full") -> list:
     automaton, and every payload type (deduplicated up to bisimilarity);
     no other label can be derived.
     """
+    memo, ck = t.memo, ("labels", direction, mode)
+    hit = memo.get(ck)
+    if hit is not None:
+        return list(hit)
     cands = [star(direction)]
     seen_tags = set()
     seen_chans = set()
@@ -266,7 +273,8 @@ def enumerate_labels(t: Type, direction: str, mode: str = "full") -> list:
             if p not in seen_chans:
                 seen_chans.add(p)
                 cands.append(chan(direction, p))
-    return [l for l in cands if t.root in enabled_nodes(t, l, mode)]
+    out = memo[ck] = tuple(l for l in cands if t.root in enabled_nodes(t, l, mode))
+    return list(out)
 
 
 # ---------------------------------------------------------------------------

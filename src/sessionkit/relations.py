@@ -160,21 +160,20 @@ def _expand(kind: str, S: Type, T: Type):
     """Polarity and the challenges of ``kind``'s game at the pair (S, T)."""
     game, chal, resp, first_order, reach = MODES[kind]
     sides = (S, T)
-    labels = functools.cache(lambda side, d, mode:
-                             lts.enumerate_labels(sides[side], d, mode))
     chs = []
     for clause, c, cd, rd, is_chan, note in RULES[game]:
         if is_chan and first_order:
             continue
         X, Y = sides[c], sides[1 - c]
-        for l in labels(c, cd, chal):
+        for l in lts.enumerate_labels(X, cd, chal):
             if l.is_first_order == is_chan:
                 continue  # the game's other clause plays this label
             if is_chan:
                 # the same payload when both sides act alike, its dual when
                 # they face each other: an empty choice derives it vacuously
                 hint = lts.chan(rd, l.msg[1] if cd == rd else dual(l.msg[1]))
-                answers = [m for m in labels(1 - c, rd, resp) if not m.is_first_order]
+                answers = [m for m in lts.enumerate_labels(Y, rd, resp)
+                           if not m.is_first_order]
                 if hint not in answers and lts.enabled(Y, hint, resp):
                     answers.append(hint)
                 miss = note
@@ -190,7 +189,7 @@ def _expand(kind: str, S: Type, T: Type):
                 succs.append((after, lts.derivative(Y, m, resp)))
                 rs.append(Response(m, [p[::-1] if c else p for p in succs]))
             chs.append(Challenge(clause, l, rs, None if rs else miss))
-    if reach and any(l.is_first_order for l in labels(0, "out", "must")):
+    if reach and any(l.is_first_order for l in lts.enumerate_labels(S, "out", "must")):
         for tau in _must_reachable_outputs(T):
             if not lts.enabled(S, tau, "must"):
                 chs.append(Challenge(

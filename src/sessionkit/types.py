@@ -5,7 +5,15 @@ bodies with the root at 0, one node per bisimilarity class, numbered
 breadth-first from the root with branches in tag order.  So two types are
 bisimilar exactly when their ``nodes`` are equal, and ``==`` and ``hash``
 compare those tables.  ``Type(nodes, root)`` accepts any raw table (a dict or
-sequence of bodies) and minimizes it the first time ``nodes`` is read.
+sequence of bodies) and does no work until it is first read.
+
+Minimal types are hash-consed (Filliâtre and Conchon, "Type-safe modular
+hash-consing", 2006): the first read of ``nodes``, ``hash`` or ``memo``
+settles a type by minimizing its table, and the first type settled on a
+table is interned.  Every bisimilar type settled while it lives shares its
+``nodes`` tuple, its hash and its ``memo``, the dict in which ``lts`` keeps
+enabledness, derivatives and labels.  The intern map holds types weakly, so
+it keeps nothing alive and needs no eviction.
 
 Node bodies are plain tuples so they hash and compare structurally:
 
@@ -23,6 +31,7 @@ non-negative ints and default to 0 in the surface syntax.
 from __future__ import annotations
 
 import re
+import weakref
 
 
 class TypeError_(Exception):
@@ -40,27 +49,51 @@ _DUAL_KIND = {
 
 
 class Type:
-    """A rooted automaton over the node bodies described in the module docstring."""
+    """A rooted automaton over the node bodies described in the module docstring.
 
-    __slots__ = ("_raw", "_nodes", "_hash")
+    ``_raw`` holds the raw table and root until the type settles.  Then the
+    type either becomes the interned one, or adopts the interned type's
+    ``nodes``, hash and memo and keeps it in ``_raw``, so that the interned
+    type lives as long as any type that shares its memo.
+    """
+
+    __slots__ = ("_raw", "_nodes", "_hash", "_memo", "__weakref__")
     root = 0
 
     def __init__(self, nodes, root: int = 0):
-        self._raw, self._nodes, self._hash = (nodes, root), None, None
+        self._raw, self._nodes = (nodes, root), None
 
     @classmethod
     def _minimal(cls, table: tuple) -> "Type":
-        """A type over a table that is already minimal and numbered."""
-        t = cls.__new__(cls)
-        t._raw, t._nodes, t._hash = None, table, None
+        """The interned type over a table that is already minimal and numbered."""
+        t = _INTERNED.get(table)
+        if t is None:
+            t = cls.__new__(cls)
+            t._settle(table)
         return t
+
+    def _settle(self, table: tuple | None = None):
+        """Intern this type on its minimal table, or share the interned type's fields."""
+        if table is None:
+            table = _canonical_table(*self._raw)
+        t = _INTERNED.setdefault(table, self)
+        if t is self:
+            self._raw, self._nodes, self._hash, self._memo = None, table, hash(table), {}
+        else:
+            self._raw, self._nodes, self._hash, self._memo = t, t._nodes, t._hash, t._memo
 
     @property
     def nodes(self) -> tuple:
         if self._nodes is None:
-            self._nodes = _canonical_table(*self._raw)
-            self._raw = None
+            self._settle()
         return self._nodes
+
+    @property
+    def memo(self) -> dict:
+        """Results computed on this type, shared by every bisimilar type."""
+        if self._nodes is None:
+            self._settle()
+        return self._memo
 
     def kind(self, nid=0):
         return self.nodes[nid][0]
@@ -83,16 +116,26 @@ class Type:
         return self.nodes
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.nodes)
+        if self._nodes is None:
+            self._settle()
         return self._hash
 
     def __eq__(self, other):
-        return self is other or (isinstance(other, Type) and hash(self) == hash(other)
-                                 and self.nodes == other.nodes)
+        # bisimilar types alive together share one ``nodes`` tuple; the table
+        # compare is the fallback for a copy that never went through the map
+        if self is other:
+            return True
+        if not isinstance(other, Type):
+            return False
+        a, b = self.nodes, other.nodes
+        return a is b or (self._hash == other._hash and a == b)
 
     def __repr__(self):
         return f"Type({self.nodes!r})"
+
+
+# minimal table -> the interned type over it
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 # ---------------------------------------------------------------------------

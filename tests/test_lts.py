@@ -256,3 +256,37 @@ def test_enabled_nodes_match_chaotic_iteration(seed, higher_order):
     for l in _candidate_labels(t):
         for mode in ("ind", "full"):
             assert lts.enabled_nodes(t, l, mode) == _chaotic_enabled(t, l, mode)
+
+
+@given(st.integers(0, 10**9), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_memos_match_fresh_computation(seed, higher_order):
+    t = auto(seed, 6 if higher_order else 8, higher_order)
+    modes = ("must", "ind", "full")
+    queries = [(lts.enumerate_labels, d, mode) for mode in modes for d in ("in", "out")]
+    queries += [(f, l, mode) for mode in modes for l in _candidate_labels(t)
+                for f in (lts.enabled_nodes, lts.derivative)]
+
+    def answer(f, x, mode):
+        r = f(t, x, mode)
+        if f is lts.derivative:
+            assert r is f(t, x, mode)
+            return r if r is None else r.nodes
+        return r
+
+    warm = [answer(*q) for q in queries]
+    assert [answer(*q) for q in queries] == warm
+    for q, w in zip(queries, warm):
+        t.memo.clear()  # each answer computed with nothing memoized
+        assert answer(*q) == w
+
+
+def test_unknown_mode_stores_nothing():
+    t = ty.parse_type("type T = +{ a: T, b: end! }")
+    before = dict(t.memo)
+    for call in (lts.enabled_nodes, lts.derivative):
+        with pytest.raises(ValueError):
+            call(t, lts.star("out"), "fair")
+    with pytest.raises(ValueError):
+        lts.enumerate_labels(t, "out", "fair")
+    assert t.memo == before

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -229,6 +231,38 @@ def test_equality_is_bisimilarity(s, t):
         if not any(bisimilar_raw(s, s, i, j) for j in classes):
             classes.append(i)
     assert ty.Type(s).size() == len(classes)
+
+
+def test_types_settle_on_first_read(monkeypatch):
+    calls = []
+    canonical = ty._canonical_table
+    monkeypatch.setattr(ty, "_canonical_table", lambda *a: calls.append(a) or canonical(*a))
+    t = ty.Type({0: ("plus", (("a", 0, 1), ("b", 0, 0))), 1: ("with", (("c", 0, 0),))})
+    assert calls == []
+    t.nodes
+    assert len(calls) == 1
+    hash(t), t.memo, t.size()
+    assert len(calls) == 1
+
+
+@given(raw_tables())
+@settings(max_examples=100, deadline=None)
+def test_bisimilar_types_share_one_table_and_memo(raw):
+    a, b = ty.Type(raw), ty.Type(doubled(raw))
+    assert a.nodes is b.nodes and a.memo is b.memo
+    assert ty.Type._minimal(a.nodes).memo is a.memo
+
+
+def test_intern_map_keeps_nothing_alive():
+    def build():
+        t = ty.parse_type("type T = +{ a: T, only_here: end! }")
+        d = lts.derivative(t, lts.tag("out", "a"), "full")
+        assert d == t and d.memo is t.memo  # a cycle: t's memo holds d, d holds t
+        return weakref.ref(t), t.nodes
+
+    ref, table = build()
+    gc.collect()
+    assert ref() is None and table not in ty._INTERNED
 
 
 @given(raw_tables())
