@@ -166,18 +166,27 @@ def step_correspondence(m: QueueMachine, word: str, max_steps: int = 200) -> dic
     """
     from . import lts
 
+    # a step starts from the encodings the previous step ended on, so each
+    # is built, and minimized on its first ``equiv``, once per call
+    built = {}
+
+    def encoding(make, arg):
+        if (make, arg) not in built:
+            built[make, arg] = make(m, arg)
+        return built[make, arg]
+
     sim = simulate(m, word, max_steps)
     checks = []
     for (q, queue), (q2, queue2) in zip(sim.history, sim.history[1:]):
         a = queue[0]
         _, suffix = m.delta[(q, a)]
-        qt, ct = queue_type(m, queue), control_type(m, q)
+        qt, ct = encoding(queue_type, queue), encoding(control_type, q)
         ok = True
         out = lts.derivative(qt, lts.tag("out", a), "must")
         inp = lts.derivative(ct, lts.tag("in", a), "must")
         ok = ok and out is not None and inp is not None
         if ok:
-            ok = ty.equiv(out, queue_type(m, queue[1:]))
+            ok = ty.equiv(out, encoding(queue_type, queue[1:]))
         qcur = out
         ccur = inp
         rest = queue[1:]
@@ -189,11 +198,11 @@ def step_correspondence(m: QueueMachine, word: str, max_steps: int = 200) -> dic
             ok = ok and emit is not None and took is not None
             if ok:
                 rest = rest + c
-                ok = ty.equiv(took, queue_type(m, rest))
+                ok = ty.equiv(took, encoding(queue_type, rest))
                 qcur, ccur = took, emit
         if ok:
-            ok = ty.equiv(qcur, queue_type(m, queue2)) and \
-                ty.equiv(ccur, control_type(m, q2))
+            ok = ty.equiv(qcur, encoding(queue_type, queue2)) and \
+                ty.equiv(ccur, encoding(control_type, q2))
         checks.append(ok)
     return {"sim": sim, "steps_ok": checks, "all_ok": all(checks)}
 

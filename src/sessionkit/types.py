@@ -218,23 +218,63 @@ def _bfs_table(nodes, root) -> tuple:
 def _quotient(nodes, ids) -> tuple[dict, dict]:
     """Bisimilarity classes of ``ids``, a set closed under successors.
 
-    Returns the class of each node and the quotient table over the classes.
-    Partition refinement starts from each node's constructor, tags and
-    measures, and splits classes until successors agree.
+    Returns the class of each node and the quotient table over the classes;
+    class ids are arbitrary, since callers renumber with ``_bfs_table``.
+
+    Hopcroft's refinement (Hopcroft, "An n log n algorithm for minimizing
+    states in a finite automaton", 1971; Paige and Tarjan, "Three partition
+    refinement algorithms", SIAM J. Comput. 1987).  The first partition
+    groups nodes by constructor, tags and measures.  An edge's symbol is its
+    branch index in a choice, or 0 (payload) and 1 (continuation) in
+    ``times``/``par``; every node of a block has the same tags, so a symbol
+    means the same edge across a block.  A worklist holds splitter blocks:
+    popping one splits every block by the preimage of the splitter under
+    each symbol.  When a block splits, the new part is queued if the block
+    still waits, and otherwise only the smaller part is: refinement by a
+    block and by one part of it implies refinement by the other part.  That
+    argument, like leaving the largest first block out of the worklist,
+    holds for complete automata; ours are partial, but the first partition
+    already makes every block agree on which edges exist, so every block is
+    stable under the whole node set, which is all it needs.
     """
-    cls = {n: (nodes[n][0], tuple((tg, m) for tg, m, _ in nodes[n][1]))
-           if nodes[n][0] in ("plus", "with") else nodes[n][0] for n in ids}
-    count = len(set(cls.values()))
-    kids = [(n, _children(nodes[n])) for n in ids]
-    while True:
-        sigs = {}
-        new = {}
-        for n, cs in kids:
-            new[n] = sigs.setdefault((cls[n], *map(cls.__getitem__, cs)), len(sigs))
-        cls = new
-        if len(sigs) == count:
-            break
-        count = len(sigs)
+    first, cls, preds = {}, {}, {}  # preds: target -> [(symbol, source)]
+    for n in ids:
+        b = nodes[n]
+        if b[0] in ("plus", "with"):
+            key = (b[0], tuple((tg, m) for tg, m, _ in b[1]))
+            for i, (_, _, c) in enumerate(b[1]):
+                preds.setdefault(c, []).append((i, n))
+        else:
+            key = b[0]
+            if key in ("times", "par"):
+                preds.setdefault(b[1], []).append((0, n))
+                preds.setdefault(b[2], []).append((1, n))
+        cls[n] = first.setdefault(key, len(first))
+    if len(first) < len(cls):
+        blocks = [set() for _ in first]
+        for n, c in cls.items():
+            blocks[c].add(n)
+        waiting = set(range(len(blocks)))
+        waiting.remove(max(waiting, key=lambda i: len(blocks[i])))
+        while waiting and len(blocks) < len(cls):
+            pre = {}  # symbol -> sources with that edge into the splitter
+            for t in blocks[waiting.pop()]:
+                for sym, src in preds.get(t, ()):
+                    pre.setdefault(sym, []).append(src)
+            for srcs in pre.values():
+                touched = {}
+                for src in srcs:
+                    touched.setdefault(cls[src], set()).add(src)
+                for y, part in touched.items():
+                    rest = blocks[y]
+                    if len(part) == len(rest):
+                        continue
+                    rest -= part
+                    new = len(blocks)
+                    blocks.append(part)
+                    for n in part:
+                        cls[n] = new
+                    waiting.add(new if y in waiting or len(part) <= len(rest) else y)
     table = {}
     for n in ids:
         if cls[n] not in table:

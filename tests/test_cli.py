@@ -252,6 +252,19 @@ def test_deep_types_exit_cleanly(capsys, tmp_path):
     assert code == 0 and out.strip() == "done is reachable"
 
 
+def test_dual_of_long_open_chain(capsys, tmp_path):
+    # no two declarations are bisimilar: refinement must split the chain
+    # into 2001 classes, one round each under Moore's algorithm
+    n = 2000
+    chain = tmp_path / "open.st"
+    chain.write_text("".join(f"type T{i} = +{{ a: T{i + 1} }}\n" for i in range(n))
+                     + f"type T{n} = end!\n")
+    code, out = run(capsys, "dual", str(chain), "T0")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == n + 1
+    assert lines[0].startswith("type dual_T0 = &{ a: ") and lines[-1].endswith("end?")
+
+
 def test_demos_run():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}

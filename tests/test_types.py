@@ -34,6 +34,40 @@ def raw_tables(draw, max_nodes=6):
     return dict(enumerate(draw(st.lists(body, min_size=n, max_size=n))))
 
 
+@st.composite
+def deep_tables(draw, max_nodes=80):
+    """Raw tables that are mostly one long chain of choices over few tags and measures.
+
+    The chain repeats a short pattern of bodies with a few changes.  It ends
+    in 1 or loops back, often by a whole number of periods, and side branches
+    and ``times``/``par`` payloads jump a few nodes along it.  So nodes are
+    often bisimilar, and refinement must split many times to tell the others
+    apart.
+    """
+    n = draw(st.integers(2, max_nodes))
+    body = st.tuples(st.sampled_from(["plus"] * 4 + ["with"] * 2 + ["times", "par"]),
+                     st.sampled_from([0, 0, 0, 1]), st.booleans(), st.integers(-6, 12))
+    pattern = draw(st.lists(body, min_size=1, max_size=6))
+    changed = draw(st.dictionaries(st.integers(0, n - 2), body, max_size=3))
+    loop = draw(st.one_of(st.none(), st.integers(0, n - 1),
+                          st.integers(1, 4).map(lambda k: max(0, n - k * len(pattern)))))
+
+    def fold(i):  # a node past the end is the end, or a node of the loop
+        if i < n:
+            return max(i, 0)
+        return n - 1 if loop is None else loop + (i - loop) % (n - loop)
+
+    raw = {}
+    for i in range(n if loop is not None else n - 1):
+        kind, m, side, offset = changed.get(i, pattern[i % len(pattern)])
+        nxt, jump = fold(i + 1), fold(i + offset)
+        if kind in ("times", "par"):
+            raw[i] = (kind, jump, nxt)
+        else:
+            raw[i] = (kind, (("a", m, nxt),) + ((("b", 0, jump),) if side else ()))
+    return raw if loop is not None else {**raw, n - 1: ("one",)}
+
+
 def doubled(raw):
     """Two copies of a table with edges crossing between them: bisimilar to it."""
     n = len(raw)
@@ -233,6 +267,17 @@ def test_equality_is_bisimilarity(s, t):
     assert ty.Type(s).size() == len(classes)
 
 
+@given(deep_tables())
+@settings(max_examples=60, deadline=None)
+def test_partition_is_bisimilarity_on_deep_tables(raw):
+    reach = ty._reachable(raw, 0)
+    cls, table = ty._quotient(raw, reach)
+    for k, i in enumerate(reach):
+        for j in reach[k + 1:]:
+            assert (cls[i] == cls[j]) == bisimilar_raw(raw, raw, i, j), (i, j)
+    assert ty.Type(raw).size() == len(set(cls.values())) == len(table)
+
+
 def test_types_settle_on_first_read(monkeypatch):
     calls = []
     canonical = ty._canonical_table
@@ -265,7 +310,7 @@ def test_intern_map_keeps_nothing_alive():
     assert ref() is None and table not in ty._INTERNED
 
 
-@given(raw_tables())
+@given(st.one_of(raw_tables(), deep_tables()))
 @settings(max_examples=100, deadline=None)
 def test_resolve_all_matches_resolve(raw):
     label = [f"N{i}" for i in range(len(raw))]
