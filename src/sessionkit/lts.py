@@ -15,8 +15,9 @@ All three come from one engine, ``prune``: ``must`` is the axiom set, and
 each fixed point above it is a pruning of the nodes against their premises.
 
 ``derivative`` produces the type after an action, again as an automaton:
-nodes that fired an axiom continue into the original table, nodes that
-buffered continue into a "stepped" copy with the action pushed past them.
+its table is the parent's own table followed by "stepped" copies of the
+buffering nodes, with the action pushed past them.  Nodes that fire an
+axiom continue into the parent's table.
 
 ``enabled_nodes``, ``derivative`` and ``enumerate_labels`` keep their results
 in the ``memo`` of the type they are asked about, which every bisimilar type
@@ -201,10 +202,13 @@ def enabled(t: Type, l: Label, mode: str = "full") -> bool:
 def derivative(t: Type, l: Label, mode: str = "full") -> Type | None:
     """The residual type after performing ``l``, or None if not enabled.
 
-    Built over a two-layer product: axiom nodes continue into the original
-    table; buffering nodes continue into a copy where the action has been
-    pushed past the node into its continuations.  The product's node ids are
-    ``("o" | "s", node)``; ``Type`` minimizes it.
+    The table is the parent's nodes, ids ``0 .. size - 1``, followed by the
+    stepped copy of node ``n`` at ``size + n``, filled in only when reached.
+    An enabled node's residual is the parent node its axiom steps to, or its
+    stepped copy if it buffers.  A stepped choice keeps its tags and each
+    branch goes to the branch's residual; a stepped ``times``/``par`` keeps
+    the parent's payload and goes to its continuation's residual.  ``Type``
+    minimizes the table.
     """
     memo, ck = t.memo, ("derivative", l, mode)
     hit = memo.get(ck, False)  # None is a result: not enabled
@@ -213,47 +217,41 @@ def derivative(t: Type, l: Label, mode: str = "full") -> Type | None:
     if t.root not in enabled_nodes(t, l, mode):
         memo[ck] = None
         return None
+    nodes = t.nodes
+    size = len(nodes)
 
-    def ref(n):
-        # n is enabled; where does its residual live?
+    def ref(n):  # n is enabled
         tgt = _axiom_target(t, n, l)
-        return ("o", tgt) if tgt is not None else ("s", n)
+        return size + n if tgt is None else tgt
 
     root = ref(t.root)
-    nodes = {}
-    queue = [root]
-    for key in queue:  # grows as successors are discovered
-        if key in nodes:
+    table = list(nodes) + [None] * size
+    todo = [root]
+    while todo:
+        s = todo.pop()
+        if s < size or table[s] is not None:
             continue
-        layer, n = key
-        b = t.nodes[n]
-        if layer == "o":
-            if b[0] in ("plus", "with"):
-                body = (b[0], tuple((tg, m, ("o", c)) for tg, m, c in b[1]))
-            elif b[0] in ("times", "par"):
-                body = (b[0], ("o", b[1]), ("o", b[2]))
-            else:
-                body = b
-        else:
-            if b[0] in ("plus", "with"):
-                body = (b[0], tuple((tg, m, ref(c)) for tg, m, c in b[1]))
-            else:  # times/par buffering: payload kept, action pushed into cont
-                body = (b[0], ("o", b[1]), ref(b[2]))
-        nodes[key] = body
-        if body[0] in ("plus", "with"):
-            queue.extend(c for _, _, c in body[1])
-        elif body[0] in ("times", "par"):
-            queue.extend([body[1], body[2]])
-    out = memo[ck] = Type(nodes, root)
+        b = nodes[s - size]
+        if b[0] in ("plus", "with"):
+            table[s] = (b[0], tuple((tg, m, ref(c)) for tg, m, c in b[1]))
+            todo.extend(c for _, _, c in table[s][1])
+        else:  # times/par buffering: payload kept, action pushed into cont
+            table[s] = (b[0], b[1], ref(b[2]))
+            todo.append(table[s][2])
+    out = memo[ck] = Type(table, root)
     return out
 
 
 def enumerate_labels(t: Type, direction: str, mode: str = "full") -> list:
-    """All enabled labels in the given direction.
+    """The enabled labels in the given direction, among those the table names.
 
     Candidates are ``*``, every (tag, measure) pair that occurs in the
-    automaton, and every payload type (deduplicated up to bisimilarity);
-    no other label can be derived.
+    automaton, and every payload type (deduplicated up to bisimilarity).
+    Other labels can be derived too: an empty choice derives every label of
+    the opposite direction vacuously, so ``+{}`` enables ``?a`` in ``full``
+    mode although only ``?*`` is listed.  That gap is why
+    ``relations._expand`` also offers the challenge's payload, or its dual,
+    as a channel response the responder's table may not name.
     """
     memo, ck = t.memo, ("labels", direction, mode)
     hit = memo.get(ck)

@@ -18,10 +18,12 @@ from . import lts, types as ty
 from .types import Type
 
 _TAGS = ["a", "b", "c", "d"]
+_MEASURES = [0, 0, 0, 1, 2]  # drawn for each branch
+_MAX_TRIES = 200  # draws before random_tractable gives up
 
 
 def random_automaton(rng: random.Random, max_nodes: int = 8,
-                     higher_order: bool = False, measures: bool = True) -> Type:
+                     higher_order: bool = False) -> Type:
     n = rng.randint(1, max_nodes)
     nodes = {}
     kinds = ["one", "bot", "plus", "with"] + (["times", "par"] if higher_order else [])
@@ -33,8 +35,7 @@ def random_automaton(rng: random.Random, max_nodes: int = 8,
             width = rng.choice([0, 1, 1, 2, 2, 3])
             tags = rng.sample(_TAGS, min(width, len(_TAGS)))
             nodes[i] = (k, tuple(sorted(
-                (t, rng.choice([0, 0, 0, 1, 2]) if measures else 0,
-                 rng.randrange(n)) for t in tags)))
+                (t, rng.choice(_MEASURES), rng.randrange(n)) for t in tags)))
         else:
             nodes[i] = (k, rng.randrange(n), rng.randrange(n))
     return Type(nodes, 0)
@@ -60,8 +61,8 @@ def closure_size(t: Type, max_types: int = 40, max_nodes: int = 40):
 
 
 def random_tractable(rng: random.Random, max_nodes: int = 8,
-                     higher_order: bool = False, max_tries: int = 200) -> Type:
-    for _ in range(max_tries):
+                     higher_order: bool = False) -> Type:
+    for _ in range(_MAX_TRIES):
         t = random_automaton(rng, max_nodes, higher_order)
         if not ty.is_fairly_terminating(t):
             continue

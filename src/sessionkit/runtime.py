@@ -18,7 +18,6 @@ it strips into a pending item or a cut node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import json
 import random
 
 from . import process as pr
@@ -413,9 +412,6 @@ class RunResult:
     steps: int
     final: object
     trace: list = field(default_factory=list)
-
-    def trace_jsonl(self):
-        return "\n".join(json.dumps(e) for e in self.trace)
 
 
 def run(term_or_config, defs=None, scheduler=None, max_steps=1000,

@@ -39,7 +39,6 @@ class TypeError_(Exception):
 
 
 POSITIVE = {"one", "plus", "times"}
-NEGATIVE = {"bot", "with", "par"}
 
 _DUAL_KIND = {
     "one": "bot", "bot": "one",
@@ -181,19 +180,14 @@ def equiv(a: Type, b: Type) -> bool:
     return True
 
 
-def _children(b, follow_payloads: bool = True):
-    if b[0] in ("plus", "with"):
-        return [c for _, _, c in b[1]]
-    if b[0] in ("times", "par"):
-        return [b[1], b[2]] if follow_payloads else [b[2]]
-    return []
-
-
-def _reachable(nodes, root, follow_payloads: bool = True) -> list:
+def _reachable(nodes, root) -> list:
     """Node ids reachable from ``root``, in BFS order (tags sorted)."""
     order, seen = [root], {root}
     for n in order:  # grows while it is walked
-        for c in _children(nodes[n], follow_payloads):
+        b = nodes[n]
+        kids = ((c for _, _, c in b[1]) if b[0] in ("plus", "with")
+                else b[1:] if b[0] in ("times", "par") else ())
+        for c in kids:
             if c not in seen:
                 seen.add(c)
                 order.append(c)
@@ -300,108 +294,35 @@ def canonicalize(t: Type) -> Type:
 def is_fairly_terminating(t: Type, detail: dict | None = None) -> bool:
     """True iff every run can always still reach a terminated state.
 
-    Computed per strongly connected component of the immediate-transition
-    graph: every reachable terminal SCC must either contain a 1/bot node or be
-    a transition-less singleton (the empty choices, vacuously terminating —
-    these are flagged in ``detail['degenerate']``).  Payload types are checked
-    as independent roots.
+    A node is terminated if it is 1/bot, or a choice with no branches: 0 and
+    ⊤ have no maximal runs, so they terminate vacuously, and they are listed
+    in ``detail['degenerate']``.  One backward search over continuation
+    edges, seeded with the terminated nodes, must mark every node reachable
+    from the root, payload types included; in a minimal table that is every
+    node.  That holds exactly when every terminal strongly connected
+    component of the continuation graph holds a terminated node.
     """
+    nodes = t.nodes
+    preds = [[] for _ in nodes]
+    done = []
+    for n, b in enumerate(nodes):
+        if b[0] in ("times", "par"):
+            preds[b[2]].append(n)
+        elif b[0] in ("one", "bot") or not b[1]:
+            done.append(n)
+        else:
+            for _, _, c in b[1]:
+                preds[c].append(n)
     if detail is not None:
-        detail.setdefault("degenerate", [])
-        detail.setdefault("bad_scc", None)
-
-    todo = [t.root]
-    done_roots = set()
-    while todo:
-        root = todo.pop()
-        if root in done_roots:
-            continue
-        done_roots.add(root)
-        ids = _reachable(t.nodes, root, follow_payloads=False)
-        for n in ids:
-            b = t.nodes[n]
-            if b[0] in ("times", "par"):
-                todo.append(b[1])
-        if not _fair_component(t, ids, detail):
-            return False
-    return True
-
-
-def _succs(t: Type, n: int) -> list:
-    b = t.nodes[n]
-    return [n] if b[0] in ("one", "bot") else _children(b, follow_payloads=False)
-
-
-def _fair_component(t: Type, ids: list, detail) -> bool:
-    sccs = _tarjan(ids, lambda n: _succs(t, n))
-    comp = {}
-    for i, scc in enumerate(sccs):
-        for n in scc:
-            comp[n] = i
-    for i, scc in enumerate(sccs):
-        terminal = all(comp[s] == i for n in scc for s in _succs(t, n))
-        if not terminal:
-            continue
-        if any(t.nodes[n][0] in ("one", "bot") for n in scc):
-            continue
-        if len(scc) == 1 and not _succs(t, scc[0]):
-            if detail is not None:
-                detail["degenerate"].append(scc[0])
-            continue
-        if detail is not None:
-            detail["bad_scc"] = sorted(scc)
-        return False
-    return True
-
-
-def _tarjan(ids, succs):
-    index = {}
-    low = {}
-    on = set()
-    stack = []
-    out = []
-    counter = [0]
-
-    def visit(v):
-        # iterative Tarjan to dodge recursion limits on long chains
-        work = [(v, iter(succs(v)))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on.add(w)
-                    work.append((w, iter(succs(w))))
-                    advanced = True
-                    break
-                elif w in on:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[node])
-            if low[node] == index[node]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on.discard(w)
-                    scc.append(w)
-                    if w == node:
-                        break
-                out.append(scc)
-
-    for v in ids:
-        if v not in index:
-            visit(v)
-    return out
+        detail.setdefault("degenerate", []).extend(
+            n for n in done if nodes[n][0] in ("plus", "with"))
+    marked = set(done)
+    for n in done:  # grows while it is walked
+        for p in preds[n]:
+            if p not in marked:
+                marked.add(p)
+                done.append(p)
+    return len(marked) == len(nodes)
 
 
 # ---------------------------------------------------------------------------

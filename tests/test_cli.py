@@ -3,6 +3,7 @@ import glob
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -292,13 +293,17 @@ _PROGRAMS = [fixtures.SERVER_PROGRAM, fixtures.LINK_SUBSUMPTION_PROGRAM,
              fixtures.DEADLOCK_PROGRAM, fixtures.OMEGA_PROGRAM]
 
 
-@st.composite
-def mutated_programs(draw):
-    src = draw(st.sampled_from(_PROGRAMS))
-    toks = [m[m.lastindex] for m in ty._TOKEN.finditer(src) if m.lastindex]
+_OPS = ("drop", "copy", "swap", "replace")
+
+
+def _mutate_tokens(draw, toks, same_kind, ops=_OPS):
+    """One to three drops, copies, swaps or replacements, in place.
+
+    A token is replaced by one of the same ``same_kind``.
+    """
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(toks) - 1))
-        op = draw(st.sampled_from(("drop", "copy", "swap", "replace")))
+        op = draw(st.sampled_from(ops))
         if op == "drop":
             del toks[i]
         elif op == "copy":
@@ -306,9 +311,19 @@ def mutated_programs(draw):
         elif op == "swap" and i + 1 < len(toks):
             toks[i], toks[i + 1] = toks[i + 1], toks[i]
         elif op == "replace":  # by a token of the same kind, to get past the parser
-            toks[i] = draw(st.sampled_from([t for t in toks if t.isidentifier()
-                                            == toks[i].isidentifier()]))
-    return " ".join(toks)
+            toks[i] = draw(st.sampled_from([t for t in toks
+                                            if same_kind(t) == same_kind(toks[i])]))
+    return toks
+
+
+def _type_tokens(src):
+    return [m[m.lastindex] for m in ty._TOKEN.finditer(src) if m.lastindex]
+
+
+@st.composite
+def mutated_programs(draw):
+    toks = _type_tokens(draw(st.sampled_from(_PROGRAMS)))
+    return " ".join(_mutate_tokens(draw, toks, str.isidentifier))
 
 
 @given(mutated_programs())
@@ -324,6 +339,57 @@ def test_cli_survives_mutated_programs(src):
         for argv in (["typecheck", path, "--budget", "30"],
                      ["run", path, "--max-steps", "30"],
                      ["probe", path, "--budget", "30"]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            assert code in (0, 1, 2, 3), argv
+
+
+_TYPE_FILES = [fixtures.SLOT_TYPES, fixtures.SATELLITE_TYPES, fixtures.ASYNC_TYPES,
+               fixtures.VARIANCE_TYPES]
+_MACHINES = [fixtures.QM_COUNTDOWN, fixtures.QM_LOOP]
+_JSON_TOKEN = re.compile(r'"[^"]*"|[][{}:,]|[^][{}:,\s"]+')
+# renaming a word or a string keeps the syntax, so the commands get past
+# the parsers more often; punctuation is only replaced by itself
+_RENAMING_OPS = _OPS + ("replace", "replace")
+
+
+@st.composite
+def mutated_types_and_machines(draw):
+    """A mutated type file, two names and a label from it, a mutated machine."""
+    toks = _type_tokens(draw(st.sampled_from(_TYPE_FILES)))
+    toks = _mutate_tokens(draw, toks, lambda t: t.isidentifier() or t, _RENAMING_OPS)
+    words = sorted({t for t in toks if t.isidentifier() and t != "type"}) or ["S"]
+    left, right = draw(st.sampled_from(words)), draw(st.sampled_from(words))
+    label = draw(st.sampled_from(["*", "(end!)", "(end?)"] + words))
+    label = draw(st.sampled_from("?!")) + label
+    mtoks = _JSON_TOKEN.findall(json.dumps(draw(st.sampled_from(_MACHINES))))
+    mtoks = _mutate_tokens(draw, mtoks, lambda t: t.startswith('"') or t, _RENAMING_OPS)
+    word = draw(st.sampled_from(["", "a", "aa", "ab", "$"]))
+    return " ".join(toks), left, right, label, "".join(mtoks), word
+
+
+@given(mutated_types_and_machines())
+@settings(max_examples=60, deadline=None)
+def test_cli_survives_mutated_types_and_machines(case):
+    src, left, right, label, machine, word = case
+    with tempfile.TemporaryDirectory() as d:
+        path, mpath = os.path.join(d, "t.st"), os.path.join(d, "m.json")
+        with open(path, "w") as fh:
+            fh.write(src)
+        with open(mpath, "w") as fh:
+            fh.write(machine)
+        small = ["--max-pairs", "30", "--max-nodes", "16"]
+        for argv in (["parse", path],
+                     ["dual", path, left],
+                     ["labels", path, left, "--dir", "in"],
+                     ["labels", path, left, "--dir", "out", "--mode", "ind"],
+                     ["step", path, left, "--label", label],
+                     ["compose", path, left, right, *small],
+                     ["subtype", "--rel", "fair", path, left, right, *small],
+                     ["crosscheck", path, left, right, *small],
+                     ["qm-encode", mpath, "--input", word],
+                     ["qm-sim", mpath, "--input", word, "--max-steps", "30"]):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main(argv)

@@ -281,6 +281,60 @@ def test_memos_match_fresh_computation(seed, higher_order):
         assert answer(*q) == w
 
 
+def _two_layer_derivative(t, l, mode):
+    """Reference for lts.derivative: the product over two copies of ``t``.
+
+    Node ``("o", n)`` is node ``n`` of ``t`` as it stands, ``("s", n)`` is
+    ``n`` with the action pushed past it.  Axiom nodes continue into the
+    ``"o"`` layer, buffering nodes into the ``"s"`` layer; every reached
+    node of either layer is rebuilt under its key.
+    """
+    if not lts.enabled(t, l, mode):
+        return None
+
+    def ref(n):
+        tgt = lts._axiom_target(t, n, l)
+        return ("o", tgt) if tgt is not None else ("s", n)
+
+    root = ref(t.root)
+    nodes, queue = {}, [root]
+    for key in queue:
+        if key in nodes:
+            continue
+        layer, n = key
+        b = t.nodes[n]
+        if layer == "o":
+            if b[0] in ("plus", "with"):
+                body = (b[0], tuple((tg, m, ("o", c)) for tg, m, c in b[1]))
+            elif b[0] in ("times", "par"):
+                body = (b[0], ("o", b[1]), ("o", b[2]))
+            else:
+                body = b
+        elif b[0] in ("plus", "with"):
+            body = (b[0], tuple((tg, m, ref(c)) for tg, m, c in b[1]))
+        else:
+            body = (b[0], ("o", b[1]), ref(b[2]))
+        nodes[key] = body
+        if body[0] in ("plus", "with"):
+            queue.extend(c for _, _, c in body[1])
+        elif body[0] in ("times", "par"):
+            queue.extend(body[1:])
+    return nodes, root
+
+
+@given(st.integers(0, 10**9), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_derivative_matches_two_layer_product(seed, higher_order):
+    t = auto(seed, 6 if higher_order else 8, higher_order)
+    for mode in ("must", "ind", "full"):
+        for d in ("in", "out"):
+            for l in lts.enumerate_labels(t, d, mode):
+                nodes, root = _two_layer_derivative(t, l, mode)
+                got = lts.derivative(t, l, mode)
+                assert got == ty.Type(nodes, root), (str(l), mode)
+                assert ty.equiv(got, ty.Type(nodes, root)), (str(l), mode)
+
+
 def test_unknown_mode_stores_nothing():
     t = ty.parse_type("type T = +{ a: T, b: end! }")
     before = dict(t.memo)

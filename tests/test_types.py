@@ -221,6 +221,44 @@ def test_fair_termination_payload_counts():
     assert not ty.is_fairly_terminating(t)
 
 
+def fairly_terminating_raw(raw, root=0):
+    """The definition on a raw table: from every node reachable from ``root``,
+    payloads included, a forward walk over continuations meets 1, bot or an
+    empty choice."""
+    def conts(b):
+        if b[0] in ("plus", "with"):
+            return [c for _, _, c in b[1]]
+        return [b[2]] if b[0] in ("times", "par") else []
+
+    reach, todo = {root}, [root]
+    while todo:
+        b = raw[todo.pop()]
+        for c in conts(b) + ([b[1]] if b[0] in ("times", "par") else []):
+            if c not in reach:
+                reach.add(c)
+                todo.append(c)
+    for n in reach:
+        seen, todo = {n}, [n]
+        while todo:
+            b = raw[todo.pop()]
+            if b[0] in ("one", "bot") or b[0] in ("plus", "with") and not b[1]:
+                break
+            todo += [c for c in conts(b) if c not in seen]
+            seen.update(todo)
+        else:
+            return False
+    return True
+
+
+@given(st.one_of(raw_tables(), deep_tables(),
+                 ho_types_st.map(lambda t: dict(enumerate(t.nodes)))))
+@settings(max_examples=300, deadline=None)
+def test_fair_termination_matches_forward_search(raw):
+    t, detail = ty.Type(raw), {}
+    assert ty.is_fairly_terminating(t, detail) == fairly_terminating_raw(raw)
+    assert all(t.nodes[n] in (("plus", ()), ("with", ())) for n in detail["degenerate"])
+
+
 @given(types_st)
 @settings(max_examples=60, deadline=None)
 def test_render_round_trip(t):
