@@ -14,14 +14,20 @@ in three modes:
 All three come from one engine, ``prune``: ``must`` is the axiom set, and
 each fixed point above it is a pruning of the nodes against their premises.
 
-``derivative`` produces the type after an action, again as an automaton:
-its table is the parent's own table followed by "stepped" copies of the
-buffering nodes, with the action pushed past them.  Nodes that fire an
-axiom continue into the parent's table.
+``derivative`` produces the type after an action: "stepped" copies of the
+buffering nodes, with the action pushed past them, over the parent's own
+store nodes, into which the nodes that fire an axiom continue.
 
-``enabled_nodes``, ``derivative`` and ``enumerate_labels`` keep their results
-in the ``memo`` of the type they are asked about, which every bisimilar type
-shares while it lives; there is no module-level cache.
+Results live in the ``memo`` of store nodes (see ``types``), so every
+bisimilar type shares them while the node lives; there is no module-level
+cache.  Enabledness is one bit per (node, label, mode): a node's bit depends
+only on the nodes it reaches, so a derived type solves only the nodes no
+earlier question reached, and the game reads the bit of the root alone.
+``enabled_nodes`` collects the bits of a whole view.  A node's stepped copy
+under a label is memoized too, so ``derivative`` interns only copies that
+were never made before; the root also keeps the derivative's ``Type`` per
+(label, mode), and the labels ``enumerate_labels`` found per (direction,
+mode).
 """
 
 from __future__ import annotations
@@ -93,49 +99,51 @@ def parse_label(text: str, env: dict | None = None) -> Label:
 # enabledness
 
 
-def _axiom_target(t: Type, nid: int, l: Label):
-    """Node the axiom steps to, or None if no axiom applies at ``nid``."""
-    b = t.nodes[nid]
-    k, d, m = b[0], l.direction, l.msg
-    if k == "one" and d == "out" and m[0] == "star":
-        return nid
-    if k == "bot" and d == "in" and m[0] == "star":
-        return nid
-    if k == "plus" and d == "out" and m[0] == "tag":
-        for tg, mm, c in b[1]:
-            if tg == m[1] and mm == m[2]:
-                return c
-    if k == "with" and d == "in" and m[0] == "tag":
-        for tg, mm, c in b[1]:
-            if tg == m[1] and mm == m[2]:
-                return c
-    if k == "times" and d == "out" and m[0] == "chan":
-        if t.at(b[1]) == m[1]:
-            return b[2]
-    if k == "par" and d == "in" and m[0] == "chan":
-        if t.at(b[1]) == m[1]:
-            return b[2]
+def _step(n, l: Label):
+    """The store node an axiom takes node ``n`` to under ``l``, or None."""
+    b, d, m = n.body, l.direction, l.msg
+    k = b[0]
+    if m[0] == "star":
+        return n if (k == "one" and d == "out") or (k == "bot" and d == "in") else None
+    if m[0] == "tag":
+        if (k == "plus" and d == "out") or (k == "with" and d == "in"):
+            for tg, mm, c in b[1]:
+                if tg == m[1] and mm == m[2]:
+                    return c
+        return None
+    if ((k == "times" and d == "out") or (k == "par" and d == "in")) and b[1] is m[1].node:
+        return b[2]
     return None
 
 
-def _may_premises(t: Type, nid: int, l: Label):
-    """Continuations the buffering rule defers to, or None if it never applies.
+def _premises(n, l: Label):
+    """Continuations the buffering rule defers to at node ``n``, or None if it never applies.
 
     A choice node passes an action of the opposite direction down all of its
     branches; a times/par node passes actions of the opposite direction past
     the payload into the continuation.
     """
-    b = t.nodes[nid]
-    k, d = b[0], l.direction
-    if k == "plus" and d == "in":
+    b, d = n.body, l.direction
+    k = b[0]
+    if (k == "plus" and d == "in") or (k == "with" and d == "out"):
         return [c for _, _, c in b[1]]
-    if k == "with" and d == "out":
-        return [c for _, _, c in b[1]]
-    if k == "times" and d == "in":
-        return [b[2]]
-    if k == "par" and d == "out":
+    if (k == "times" and d == "in") or (k == "par" and d == "out"):
         return [b[2]]
     return None
+
+
+def _axiom_target(t: Type, nid: int, l: Label):
+    """``_step`` at node ``nid`` of the view of ``t``, as a view id."""
+    order = t.node.reach()
+    tgt = _step(order[nid], l)
+    return None if tgt is None else order.index(tgt)
+
+
+def _may_premises(t: Type, nid: int, l: Label):
+    """``_premises`` at node ``nid`` of the view of ``t``, as view ids."""
+    order = t.node.reach()
+    p = _premises(order[nid], l)
+    return None if p is None else [order.index(c) for c in p]
 
 
 def prune(keys, holds, users):
@@ -161,117 +169,168 @@ def prune(keys, holds, users):
     return live, removed
 
 
+def _enabled(n, l: Label, mode: str) -> bool:
+    """Whether node ``n`` derives ``l`` in ``mode``; ind and full bits are memoized."""
+    if mode == "must":
+        return _step(n, l) is not None
+    ck = (l, mode)
+    bit = n.memo.get(ck)
+    if bit is None:
+        if mode not in ("ind", "full"):
+            raise ValueError(f"unknown mode {mode!r}")
+        _solve(n, l, mode == "full", ck)
+        bit = n.memo[ck]
+    return bit
+
+
+def _solve(n, l: Label, fair: bool, ck: tuple):
+    """Memoize the ``ck`` bit of ``n`` and of every node it rests on that lacks one.
+
+    A node that fires an axiom derives ``l``; one the buffering rule never
+    applies to does not.  The others are solved together by ``prune``
+    against their premises, and premises with a bit already are constants:
+    a node's bit depends only on the nodes it reaches, so it is the same in
+    every type that holds the node.  In ``full`` mode those constants are
+    the final bits in both fixed points, which leaves both unchanged.
+    """
+    def known(c):
+        bit = c.memo.get(ck)
+        if bit is None:
+            if _step(c, l) is not None:
+                bit = c.memo[ck] = True
+            elif _premises(c, l) is None:
+                bit = c.memo[ck] = False
+        return bit
+
+    if known(n) is not None:
+        return
+    local, order, inner, outer = {n: 0}, [n], [], []
+    for x in order:  # grows while it is walked
+        ins, outs = [], []
+        for c in _premises(x, l):
+            bit = known(c)
+            if bit is None:
+                j = local.setdefault(c, len(order))
+                if j == len(order):
+                    order.append(c)
+                ins.append(j)
+            else:
+                outs.append(bit)
+        inner.append(ins)
+        outer.append(outs)
+    users = [[] for _ in order]
+    for i, ins in enumerate(inner):
+        for j in ins:
+            users[j].append(i)
+
+    def underivable(i, live):  # fairly, a choice needs only one premise
+        if fair and order[i].body[0] in ("plus", "with"):
+            return bool(inner[i] or outer[i]) and True not in outer[i] \
+                and live.issuperset(inner[i])
+        return False in outer[i] or not live.isdisjoint(inner[i])
+
+    # the least fixed point is what stays outside the underivable nodes;
+    # full then keeps only the nodes whose premises all stay in it
+    keys = range(len(order))
+    stuck, _ = prune(keys, underivable, users)
+    out = [i for i in keys if i not in stuck]
+    if fair:
+        out, _ = prune(out, lambda i, live: False not in outer[i] and live.issuperset(inner[i]),
+                       users)
+    out = set(out)
+    for i, x in enumerate(order):
+        x.memo[ck] = i in out
+
+
 def enabled_nodes(t: Type, l: Label, mode: str) -> frozenset:
-    """Set of node ids of ``t`` that derive ``l`` in ``mode``."""
-    memo, ck = t.memo, ("enabled", l, mode)
-    hit = memo.get(ck)
-    if hit is not None:
-        return hit
-    ids = range(t.size())
-    out = ax = {n for n in ids if _axiom_target(t, n, l) is not None}
-    if mode in ("ind", "full"):
-        fair = mode == "full"
-        prem = [_may_premises(t, n, l) for n in ids]
-        users = [[] for _ in ids]
-        for n in ids:
-            for c in prem[n] or ():
-                users[c].append(n)
-
-        def underivable(n, live):  # fairly, a choice needs only one premise
-            p = prem[n]
-            if fair and t.nodes[n][0] in ("plus", "with"):
-                return p is None or bool(p) and live.issuperset(p)
-            return p is None or not live.isdisjoint(p)
-
-        # the least fixed point is what stays outside the underivable nodes;
-        # full then keeps only the nodes whose premises all stay in it
-        stuck, _ = prune([n for n in ids if n not in ax], underivable, users)
-        out = [n for n in ids if n not in stuck]
-        if fair:
-            out, _ = prune(out, lambda n, live: n in ax or live.issuperset(prem[n]), users)
-    elif mode != "must":
-        raise ValueError(f"unknown mode {mode!r}")
-    out = memo[ck] = frozenset(out)
-    return out
+    """Set of view ids of ``t`` whose nodes derive ``l`` in ``mode``."""
+    return frozenset(i for i, n in enumerate(t.node.reach()) if _enabled(n, l, mode))
 
 
 def enabled(t: Type, l: Label, mode: str = "full") -> bool:
-    return t.root in enabled_nodes(t, l, mode)
+    return _enabled(t.node, l, mode)
 
 
 def derivative(t: Type, l: Label, mode: str = "full") -> Type | None:
     """The residual type after performing ``l``, or None if not enabled.
 
-    The table is the parent's nodes, ids ``0 .. size - 1``, followed by the
-    stepped copy of node ``n`` at ``size + n``, filled in only when reached.
-    An enabled node's residual is the parent node its axiom steps to, or its
-    stepped copy if it buffers.  A stepped choice keeps its tags and each
-    branch goes to the branch's residual; a stepped ``times``/``par`` keeps
-    the parent's payload and goes to its continuation's residual.  ``Type``
-    minimizes the table.
+    An enabled node's residual is the node its axiom steps to, or else its
+    stepped copy: a stepped choice keeps its tags and each branch goes to
+    the branch's residual; a stepped ``times``/``par`` keeps its payload and
+    goes to its continuation's residual.  Every node a stepped copy reaches
+    is enabled, since enabled nodes that do not fire an axiom have all their
+    premises enabled.  A stepped copy is the residual of its node as a root,
+    whatever the mode, so it is memoized on the node and reused by every
+    later derivative that reaches the node; only new copies are interned.
     """
-    memo, ck = t.memo, ("derivative", l, mode)
+    node = t.node
+    memo, ck = node.memo, ("derivative", l, mode)
     hit = memo.get(ck, False)  # None is a result: not enabled
     if hit is not False:
         return hit
-    if t.root not in enabled_nodes(t, l, mode):
+    if not _enabled(node, l, mode):
         memo[ck] = None
         return None
-    nodes = t.nodes
-    size = len(nodes)
+    rk = ("residual", l)
+    stepped, table = {}, []  # parent node -> its copy's id; id -> copy's body
 
-    def ref(n):  # n is enabled
-        tgt = _axiom_target(t, n, l)
-        return size + n if tgt is None else tgt
+    def ref(n):
+        tgt = _step(n, l)
+        if tgt is None:
+            tgt = n.memo.get(rk)
+        if tgt is not None:
+            return tgt
+        i = stepped.setdefault(n, len(table))
+        if i == len(table):
+            table.append(n)  # the body replaces it below
+        return i
 
-    root = ref(t.root)
-    table = list(nodes) + [None] * size
-    todo = [root]
-    while todo:
-        s = todo.pop()
-        if s < size or table[s] is not None:
-            continue
-        b = nodes[s - size]
+    root = ref(node)
+    for i, n in enumerate(table):  # grows while it is walked
+        b = n.body
         if b[0] in ("plus", "with"):
-            table[s] = (b[0], tuple((tg, m, ref(c)) for tg, m, c in b[1]))
-            todo.extend(c for _, _, c in table[s][1])
+            table[i] = (b[0], tuple((tg, m, ref(c)) for tg, m, c in b[1]))
         else:  # times/par buffering: payload kept, action pushed into cont
-            table[s] = (b[0], b[1], ref(b[2]))
-            todo.append(table[s][2])
-    out = memo[ck] = Type(table, root)
+            table[i] = (b[0], b[1], ref(b[2]))
+    if table:
+        res = ty._intern(table, [root])
+        for n, i in stepped.items():
+            n.memo[rk] = res[i]
+        root = res[root]
+    out = memo[ck] = Type._of(root)
     return out
 
 
 def enumerate_labels(t: Type, direction: str, mode: str = "full") -> list:
-    """The enabled labels in the given direction, among those the table names.
+    """The enabled labels in the given direction, among those the type names.
 
     Candidates are ``*``, every (tag, measure) pair that occurs in the
-    automaton, and every payload type (deduplicated up to bisimilarity).
-    Other labels can be derived too: an empty choice derives every label of
-    the opposite direction vacuously, so ``+{}`` enables ``?a`` in ``full``
-    mode although only ``?*`` is listed.  That gap is why
-    ``relations._expand`` also offers the challenge's payload, or its dual,
-    as a channel response the responder's table may not name.
+    automaton, and every payload type (deduplicated up to bisimilarity), in
+    the order of the view.  Other labels can be derived too: an empty choice
+    derives every label of the opposite direction vacuously, so ``+{}``
+    enables ``?a`` in ``full`` mode although only ``?*`` is listed.  That
+    gap is why ``relations._expand`` also offers the challenge's payload, or
+    its dual, as a channel response the responder's table may not name.
     """
-    memo, ck = t.memo, ("labels", direction, mode)
+    node = t.node
+    memo, ck = node.memo, ("labels", direction, mode)
     hit = memo.get(ck)
     if hit is not None:
         return list(hit)
     cands = [star(direction)]
     seen_tags = set()
     seen_chans = set()
-    for b in t.nodes:
+    for n in node.reach():
+        b = n.body
         if b[0] in ("plus", "with"):
             for tg, m, _ in b[1]:
                 if (tg, m) not in seen_tags:
                     seen_tags.add((tg, m))
                     cands.append(tag(direction, tg, m))
-        elif b[0] in ("times", "par"):
-            p = t.at(b[1])
-            if p not in seen_chans:
-                seen_chans.add(p)
-                cands.append(chan(direction, p))
-    out = memo[ck] = tuple(l for l in cands if t.root in enabled_nodes(t, l, mode))
+        elif b[0] in ("times", "par") and b[1] not in seen_chans:
+            seen_chans.add(b[1])
+            cands.append(chan(direction, Type._of(b[1])))
+    out = memo[ck] = tuple(l for l in cands if _enabled(node, l, mode))
     return list(out)
 
 

@@ -1,35 +1,46 @@
-"""Regular session types as rooted finite automata.
+"""Regular session types, hash-consed as nodes of one minimal store.
 
-A ``Type`` is always its minimal automaton: ``nodes`` is a tuple of node
-bodies with the root at 0, one node per bisimilarity class, numbered
-breadth-first from the root with branches in tag order.  So two types are
-bisimilar exactly when their ``nodes`` are equal, and ``==`` and ``hash``
-compare those tables.  ``Type(nodes, root)`` accepts any raw table (a dict or
-sequence of bodies) and does no work until it is first read.
+Every type lives in one process-wide store of nodes.  A node is a body over
+other store nodes:
 
-Minimal types are hash-consed (Filliâtre and Conchon, "Type-safe modular
-hash-consing", 2006): the first read of ``nodes``, ``hash`` or ``memo``
-settles a type by minimizing its table, and the first type settled on a
-table is interned.  Every bisimilar type settled while it lives shares its
-``nodes`` tuple, its hash and its ``memo``, the dict in which ``lts`` keeps
-enabledness, derivatives and labels.  The intern map holds types weakly, so
-it keeps nothing alive and needs no eviction.
+    ("one",)                                 terminated output side, 1
+    ("bot",)                                 terminated input side
+    ("plus", ((tag, measure, node), ...))    internal choice; () is the empty type 0
+    ("with", ((tag, measure, node), ...))    external choice; () is the full type
+    ("times", payload, cont)                 send a channel of the payload type
+    ("par", payload, cont)                   receive a channel of the payload type
 
-Node bodies are plain tuples so they hash and compare structurally:
+Branch tuples are sorted by tag.  Measures are non-negative ints and default
+to 0 in the surface syntax.  The store stays minimal as nodes are added: no
+two of its nodes are bisimilar.  A ``Type`` is a handle on its root node, so
+two types are bisimilar exactly when their roots are the same node, and
+``==`` and ``hash`` are O(1).
 
-    ("one",)                                   terminated output side, 1
-    ("bot",)                                   terminated input side
-    ("plus", ((tag, measure, cont_id), ...))   internal choice; () is the empty type 0
-    ("with", ((tag, measure, cont_id), ...))   external choice; () is the full type
-    ("times", payload_id, cont_id)             send a channel of the payload type
-    ("par", payload_id, cont_id)               receive a channel of the payload type
+This is hash-consing (Filliâtre and Conchon, "Type-safe modular
+hash-consing", 2006) extended to cyclic terms one strongly connected
+component at a time (Mauborgne, "An incremental unique representation for
+regular trees", 2000).  A node on no cycle is found or added by its body,
+whose successors are store nodes already.  A cyclic component is first
+refined together with the cyclic components it steps into, because a cycle
+can be bisimilar to a node it reaches: ``X = +{a: X, b: E}`` is
+``E = +{a: E, b: E}``.  Otherwise its minimal quotient is looked up by a
+key that does not depend on how its nodes were numbered, and added if it is
+not there.  The store holds nodes weakly, so it keeps alive only what some
+live ``Type`` reaches, and needs no eviction.  Each node carries its dual
+and the ``memo`` in which ``lts`` keeps enabledness, derivatives and labels.
 
-Branch tuples are kept sorted by tag, in raw tables too.  Measures are
-non-negative ints and default to 0 in the surface syntax.
+``Type(nodes, root)`` accepts a raw table, a dict or sequence of bodies over
+table ids, and settles it into the store when it is first read.
+``Type.nodes`` is a view: the nodes reachable from the root, numbered
+breadth-first from 0 with branches in tag order, as bodies over those
+numbers.  It is built once per node, when asked for.  Rendering, JSON,
+``equiv`` and fair termination read views; ``equiv`` never reads the store.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+import itertools
 import re
 import weakref
 
@@ -47,55 +58,83 @@ _DUAL_KIND = {
 }
 
 
-class Type:
-    """A rooted automaton over the node bodies described in the module docstring.
+class _Node:
+    """A node of the store: its body, its dual, its memo and its views.
 
-    ``_raw`` holds the raw table and root until the type settles.  Then the
-    type either becomes the interned one, or adopts the interned type's
-    ``nodes``, hash and memo and keeps it in ``_raw``, so that the interned
-    type lives as long as any type that shares its memo.
+    ``scc`` is the tuple of the nodes of its cyclic component, or None on
+    no cycle.
     """
 
-    __slots__ = ("_raw", "_nodes", "_hash", "_memo", "__weakref__")
+    __slots__ = ("body", "serial", "scc", "dual", "memo", "_reach", "_table", "__weakref__")
+
+    def __init__(self, body):
+        self.body, self.serial, self.memo = body, next(_SERIALS), {}
+        self.scc = self.dual = self._reach = self._table = None
+
+    def reach(self) -> tuple:
+        """The nodes reachable from this one, breadth-first with branches in tag order."""
+        if self._reach is None:
+            order, seen = [self], {self}
+            for n in order:  # grows while it is walked
+                for c in _kids(n.body):
+                    if c not in seen:
+                        seen.add(c)
+                        order.append(c)
+            self._reach = tuple(order)
+        return self._reach
+
+    def table(self) -> tuple:
+        """The bodies of ``reach()`` over their positions in it."""
+        if self._table is None:
+            order = self.reach()
+            at = {n: i for i, n in enumerate(order)}
+            self._table = tuple(_renamed(n.body, at) for n in order)
+        return self._table
+
+
+_SERIALS = itertools.count()
+_STORE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # _key(body) -> node
+_CYCLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # cycle key -> first node
+
+
+class Type:
+    """A handle on a store node: ``node``, the root.
+
+    A type made from a raw table keeps the table and root in ``_raw`` and
+    has no ``node`` until it is first read; reading it then falls through
+    to ``__getattr__``, which settles the table.
+    """
+
+    __slots__ = ("_raw", "node")
     root = 0
 
     def __init__(self, nodes, root: int = 0):
-        self._raw, self._nodes = (nodes, root), None
+        self._raw = (nodes, root)
 
     @classmethod
-    def _minimal(cls, table: tuple) -> "Type":
-        """The interned type over a table that is already minimal and numbered."""
-        t = _INTERNED.get(table)
-        if t is None:
-            t = cls.__new__(cls)
-            t._settle(table)
+    def _of(cls, node: _Node) -> "Type":
+        t = cls.__new__(cls)
+        t.node = node
         return t
 
-    def _settle(self, table: tuple | None = None):
-        """Intern this type on its minimal table, or share the interned type's fields."""
-        if table is None:
-            table = _canonical_table(*self._raw)
-        t = _INTERNED.setdefault(table, self)
-        if t is self:
-            self._raw, self._nodes, self._hash, self._memo = None, table, hash(table), {}
-        else:
-            self._raw, self._nodes, self._hash, self._memo = t, t._nodes, t._hash, t._memo
+    def __getattr__(self, name):
+        if name != "node":
+            raise AttributeError(name)
+        self.node = _canonical_table(*self._raw)[0]
+        del self._raw
+        return self.node
 
     @property
     def nodes(self) -> tuple:
-        if self._nodes is None:
-            self._settle()
-        return self._nodes
+        return self.node.table()
 
     @property
     def memo(self) -> dict:
-        """Results computed on this type, shared by every bisimilar type."""
-        if self._nodes is None:
-            self._settle()
-        return self._memo
+        """Results computed on the root node, shared by every bisimilar type."""
+        return self.node.memo
 
     def kind(self, nid=0):
-        return self.nodes[nid][0]
+        return self.node.reach()[nid].body[0]
 
     def body(self, nid=0):
         return self.nodes[nid]
@@ -104,37 +143,24 @@ class Type:
         return self.kind(nid) in POSITIVE
 
     def at(self, nid: int) -> "Type":
-        """The type of node ``nid``: part of a minimal automaton is minimal."""
-        return self if nid == 0 else Type._minimal(_bfs_table(self.nodes, nid))
+        """The type of node ``nid`` of the view."""
+        return self if nid == 0 else Type._of(self.node.reach()[nid])
 
     def size(self) -> int:
-        return len(self.nodes)
+        return len(self.node.reach())
 
-    def key(self) -> tuple:
-        """The minimal table; equal iff bisimilar."""
-        return self.nodes
+    def key(self) -> _Node:
+        """The root node; the same iff bisimilar."""
+        return self.node
 
     def __hash__(self):
-        if self._nodes is None:
-            self._settle()
-        return self._hash
+        return self.node.serial
 
     def __eq__(self, other):
-        # bisimilar types alive together share one ``nodes`` tuple; the table
-        # compare is the fallback for a copy that never went through the map
-        if self is other:
-            return True
-        if not isinstance(other, Type):
-            return False
-        a, b = self.nodes, other.nodes
-        return a is b or (self._hash == other._hash and a == b)
+        return self is other or isinstance(other, Type) and self.node is other.node
 
     def __repr__(self):
         return f"Type({self.nodes!r})"
-
-
-# minimal table -> the interned type over it
-_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 # ---------------------------------------------------------------------------
@@ -142,16 +168,41 @@ _INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def dual(t: Type) -> Type:
-    """Swap every constructor for its dual; measures and tags are untouched.
+    """Swap every constructor for its dual; measures and tags are untouched."""
+    return Type._of(_dual(t.node))
 
-    Duality keeps both the bisimilarity classes and the BFS order, so the
-    swapped table is minimal as it stands.
+
+def _dual(node: _Node) -> _Node:
+    """The dual's store node, memoized both ways on every node it reaches.
+
+    Duality keeps bisimilarity classes, so the swapped nodes are minimal and
+    bisimilar to no node they reach: they are only looked up.
     """
-    return Type._minimal(tuple((_DUAL_KIND[b[0]], *b[1:]) for b in t.nodes))
+    if node.dual is None:
+        local, todo, raw = {node: 0}, [node], []
+
+        def ref(c):
+            if c.dual is not None:
+                return c.dual
+            i = local.setdefault(c, len(todo))
+            if i == len(todo):
+                todo.append(c)
+            return i
+
+        for n in todo:  # grows while it is walked
+            b = n.body
+            if b[0] in ("plus", "with"):
+                raw.append((_DUAL_KIND[b[0]], tuple((tg, m, ref(c)) for tg, m, c in b[1])))
+            else:
+                raw.append((_DUAL_KIND[b[0]], *map(ref, b[1:])))
+        res = _intern(raw, range(len(todo)), minimal=True)
+        for n, i in local.items():
+            n.dual, res[i].dual = res[i], n
+    return node.dual
 
 
 # ---------------------------------------------------------------------------
-# bisimilarity and canonical form
+# bisimilarity and the store
 
 
 def equiv(a: Type, b: Type) -> bool:
@@ -180,69 +231,54 @@ def equiv(a: Type, b: Type) -> bool:
     return True
 
 
-def _reachable(nodes, root) -> list:
-    """Node ids reachable from ``root``, in BFS order (tags sorted)."""
-    order, seen = [root], {root}
-    for n in order:  # grows while it is walked
-        b = nodes[n]
-        kids = ((c for _, _, c in b[1]) if b[0] in ("plus", "with")
-                else b[1:] if b[0] in ("times", "par") else ())
-        for c in kids:
-            if c not in seen:
-                seen.add(c)
-                order.append(c)
-    return order
+def _kids(b):
+    """The successors of body ``b``, in branch order, payload before continuation."""
+    if b[0] in ("plus", "with"):
+        return [c for _, _, c in b[1]]
+    return b[1:] if b[0] in ("times", "par") else ()
 
 
 def _renamed(b, new):
-    """Body ``b`` with every successor id ``c`` replaced by ``new[c]``."""
+    """Body ``b`` with every successor ``c`` replaced by ``new.get(c, c)``."""
     if b[0] in ("plus", "with"):
-        return (b[0], tuple((tg, m, new[c]) for tg, m, c in b[1]))
+        return (b[0], tuple((tg, m, new.get(c, c)) for tg, m, c in b[1]))
     if b[0] in ("times", "par"):
-        return (b[0], new[b[1]], new[b[2]])
+        return (b[0], new.get(b[1], b[1]), new.get(b[2], b[2]))
     return b
 
 
-def _bfs_table(nodes, root) -> tuple:
-    """The nodes reachable from ``root`` renumbered in BFS order, root 0."""
-    order = {n: i for i, n in enumerate(_reachable(nodes, root))}
-    return tuple(_renamed(nodes[n], order) for n in order)
+def _quotient(nodes, ids) -> dict:
+    """Bisimilarity classes of ``ids``: the class number of each.
 
-
-def _quotient(nodes, ids) -> tuple[dict, dict]:
-    """Bisimilarity classes of ``ids``, a set closed under successors.
-
-    Returns the class of each node and the quotient table over the classes;
-    class ids are arbitrary, since callers renumber with ``_bfs_table``.
-
-    Hopcroft's refinement (Hopcroft, "An n log n algorithm for minimizing
-    states in a finite automaton", 1971; Paige and Tarjan, "Three partition
-    refinement algorithms", SIAM J. Comput. 1987).  The first partition
-    groups nodes by constructor, tags and measures.  An edge's symbol is its
-    branch index in a choice, or 0 (payload) and 1 (continuation) in
-    ``times``/``par``; every node of a block has the same tags, so a symbol
-    means the same edge across a block.  A worklist holds splitter blocks:
-    popping one splits every block by the preimage of the splitter under
-    each symbol.  When a block splits, the new part is queued if the block
-    still waits, and otherwise only the smaller part is: refinement by a
-    block and by one part of it implies refinement by the other part.  That
-    argument, like leaving the largest first block out of the worklist,
-    holds for complete automata; ours are partial, but the first partition
-    already makes every block agree on which edges exist, so every block is
-    stable under the whole node set, which is all it needs.
+    Successors outside ``ids`` are fixed, distinct nodes: store nodes, never
+    bisimilar to each other.  Hopcroft's refinement (Hopcroft, "An n log n
+    algorithm for minimizing states in a finite automaton", 1971; Paige and
+    Tarjan, "Three partition refinement algorithms", SIAM J. Comput. 1987).
+    The first partition groups nodes by constructor, tags, measures and
+    outside successors.  An edge's symbol is its branch index in a choice,
+    or 0 (payload) and 1 (continuation) in ``times``/``par``; every node of
+    a block has the same tags, so a symbol means the same edge across a
+    block.  A worklist holds splitter blocks: popping one splits every block
+    by the preimage of the splitter under each symbol.  When a block splits,
+    the new part is queued if the block still waits, and otherwise only the
+    smaller part is: refinement by a block and by one part of it implies
+    refinement by the other part.  That argument, like leaving the largest
+    first block out of the worklist, holds for complete automata; ours are
+    partial, but the first partition already makes every block agree on
+    which edges exist, so every block is stable under the whole node set,
+    which is all it needs.
     """
+    members = set(ids)
     first, cls, preds = {}, {}, {}  # preds: target -> [(symbol, source)]
     for n in ids:
         b = nodes[n]
-        if b[0] in ("plus", "with"):
-            key = (b[0], tuple((tg, m) for tg, m, _ in b[1]))
-            for i, (_, _, c) in enumerate(b[1]):
+        kids = _kids(b)
+        for i, c in enumerate(kids):
+            if c in members:
                 preds.setdefault(c, []).append((i, n))
-        else:
-            key = b[0]
-            if key in ("times", "par"):
-                preds.setdefault(b[1], []).append((0, n))
-                preds.setdefault(b[2], []).append((1, n))
+        outside = tuple(None if c in members else c for c in kids)
+        key = (b[0], tuple((tg, m) for tg, m, _ in b[1]) if b[0] in ("plus", "with") else (),
+               outside)
         cls[n] = first.setdefault(key, len(first))
     if len(first) < len(cls):
         blocks = [set() for _ in first]
@@ -269,21 +305,176 @@ def _quotient(nodes, ids) -> tuple[dict, dict]:
                     for n in part:
                         cls[n] = new
                     waiting.add(new if y in waiting or len(part) <= len(rest) else y)
-    table = {}
-    for n in ids:
-        if cls[n] not in table:
-            table[cls[n]] = _renamed(nodes[n], cls)
-    return cls, table
+    return cls
+
+
+def _key(b) -> tuple:
+    """A body over store nodes with their serials for them: a key that keeps no node alive."""
+    if b[0] in ("plus", "with"):
+        return (b[0], tuple((tg, m, c.serial) for tg, m, c in b[1]))
+    if b[0] in ("times", "par"):
+        return (b[0], b[1].serial, b[2].serial)
+    return b
+
+
+def _components(nodes, roots) -> list:
+    """Strongly connected components of the raw ids reachable from ``roots``.
+
+    Each comes after every component it reaches (Tarjan's algorithm, with an
+    explicit stack).  Successors that are store nodes are not walked.
+    """
+    num, low, stack, done, out = {}, {}, [], set(), []
+    for r in roots:
+        if r in num:
+            continue
+        num[r] = low[r] = len(num)
+        stack.append(r)
+        work = [(r, iter(_kids(nodes[r])))]
+        while work:
+            v, kids = work[-1]
+            for w in kids:
+                if isinstance(w, _Node) or w in done:
+                    continue
+                if w not in num:
+                    num[w] = low[w] = len(num)
+                    stack.append(w)
+                    work.append((w, iter(_kids(nodes[w]))))
+                    break
+                low[v] = min(low[v], num[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == num[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                    done.update(comp)
+                    out.append(comp)
+    return out
+
+
+def _intern(nodes, roots, minimal: bool = False) -> dict:
+    """Add what the raw ids reachable from ``roots`` stand for to the store.
+
+    A raw body's successors are ids of ``nodes`` or store nodes.  Components
+    are added successors first, so a node on no cycle is looked up by its
+    body over store nodes.  With ``minimal``, every cyclic component is known
+    to be minimal and bisimilar to no node it reaches, and is only looked
+    up.  Returns the store node of every id reached.
+    """
+    res = {}
+    for comp in _components(nodes, roots):
+        v = comp[0]
+        if len(comp) == 1 and v not in _kids(nodes[v]):
+            b = _renamed(nodes[v], res)
+            k = _key(b)
+            n = _STORE.get(k)
+            if n is None:
+                n = _STORE[k] = _Node(b)
+            res[v] = n
+        else:
+            _add_cycle({v: _renamed(nodes[v], res) for v in comp}, res, minimal)
+    return res
+
+
+def _add_cycle(bodies: dict, res: dict, minimal: bool):
+    """Put the store node of each id of a cyclic component into ``res``.
+
+    ``bodies`` maps the component's ids to bodies over its ids and store
+    nodes.  If one node of the component is bisimilar to a store node, all
+    are, since each reaches every other.  When that node is in a cyclic
+    component the new one reaches, the first step out of the new component
+    on the way there already lands in it: so refining the new component
+    together with the cyclic components it steps into finds it.  Otherwise
+    the minimal quotient is isomorphic to the store component it matches,
+    and ``_cycle_key`` finds that one by its key.
+    """
+    near = {}  # first node -> the cyclic component it heads
+    for b in () if minimal else bodies.values():
+        for c in _kids(b):
+            if isinstance(c, _Node) and c.scc is not None:
+                near[c.scc[0]] = c.scc
+    if near or not minimal and len(bodies) > 1:
+        table = dict(bodies)
+        for scc in near.values():
+            table.update((n, n.body) for n in scc)
+        cls = _quotient(table, table)
+        old = {cls[n]: n for scc in near.values() for n in scc}
+        if cls[next(iter(bodies))] in old:
+            for v in bodies:
+                res[v] = old[cls[v]]
+            return
+    else:  # minimal as it stands: one node stepping into no cycle, or a dual
+        cls = {v: v for v in bodies}
+    quotient = {}
+    for v, b in bodies.items():
+        if cls[v] not in quotient:
+            quotient[cls[v]] = _renamed(b, {c: cls[c] for c in _kids(b) if c in bodies})
+    key, order = _cycle_key(quotient)
+    first = _CYCLES.get(key)
+    if first is None:
+        new = {k: _Node(None) for k in order}
+        scc = tuple(new[k] for k in order)
+        for k, n in new.items():
+            n.body, n.scc = _renamed(quotient[k], new), scc
+            _STORE[_key(n.body)] = n
+        _CYCLES[key] = scc[0]
+    else:  # walk both components in step
+        new, todo = {order[0]: first}, [order[0]]
+        for k in todo:  # grows while it is walked
+            for c, n in zip(_kids(quotient[k]), _kids(new[k].body)):
+                if c in quotient and c not in new:
+                    new[c] = n
+                    todo.append(c)
+    for v in bodies:
+        res[v] = new[cls[v]]
+
+
+def _cycle_key(bodies: dict) -> tuple:
+    """A key of a minimal cyclic component that its numbering does not change.
+
+    ``bodies`` maps ids to bodies over ids and store nodes.  The key lists
+    the bodies breadth-first from a start node, with the component's nodes
+    as their positions and store nodes as ``-1 - serial``.  The start is the
+    node whose key is least among those with the rarest signature (its body
+    with every node of the component blanked); nodes of a minimal component
+    all have different keys.  Returns the key and the ids in its order.
+    """
+    def code(b, inner):
+        out = tuple(-1 - c.serial if isinstance(c, _Node) else inner(c) for c in _kids(b))
+        if b[0] in ("plus", "with"):
+            return (b[0], tuple((tg, m, c) for (tg, m, _), c in zip(b[1], out)))
+        return (b[0], *out)
+
+    def from_(start):
+        order, at = [start], {start: 0}
+
+        def inner(c):
+            i = at.setdefault(c, len(order))
+            if i == len(order):
+                order.append(c)
+            return i
+
+        key = [code(bodies[k], inner) for k in order]  # order grows while it is walked
+        return tuple(key), order
+
+    sig = {k: code(b, lambda c: 0) for k, b in bodies.items()}
+    if len(sig) == 1:  # one node: its signature is its key
+        return tuple(sig.values()), list(sig)
+    count = Counter(sig.values())
+    best = min(count, key=lambda s: (count[s], s))
+    return min((from_(k) for k, s in sig.items() if s == best), key=lambda ko: ko[0])
 
 
 def _canonical_table(nodes, root) -> tuple:
-    """The minimal automaton of a raw table from ``root``, numbered in BFS order."""
-    cls, table = _quotient(nodes, _reachable(nodes, root))
-    return _bfs_table(table, cls[root])
+    """Settle a raw table: the store nodes its root reaches, root first."""
+    return _intern(nodes, [root])[root].reach()
 
 
 def canonicalize(t: Type) -> Type:
-    """``t`` itself: every ``Type`` is its minimal automaton already."""
+    """``t`` itself: every ``Type`` is a node of the minimal store already."""
     return t
 
 
@@ -569,10 +760,10 @@ def resolve(decls: dict, name: str) -> Type:
 
 
 def resolve_all(decls: dict) -> dict:
-    """``resolve`` of every declared name; the shared table is minimized once."""
+    """``resolve`` of every declared name; the shared table is interned once."""
     nodes, roots = _build(decls, list(decls))
-    cls, table = _quotient(nodes, list(nodes))
-    return {n: Type._minimal(_bfs_table(table, cls[r])) for n, r in zip(decls, roots)}
+    res = _intern(nodes, roots)
+    return {n: Type._of(res[r]) for n, r in zip(decls, roots)}
 
 
 def parse_type(src: str, name: str | None = None) -> Type:

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import string
 import subprocess
 import sys
 import tempfile
@@ -251,6 +252,11 @@ def test_deep_types_exit_cleanly(capsys, tmp_path):
     assert code == 0 and out.strip() == "DoneReached after 0 steps"
     code, out = run(capsys, "probe", str(calls))
     assert code == 0 and out.strip() == "done is reachable"
+    # the open chain of 2000 declarations, resolved once, under a main term
+    chain.write_text("".join(f"type T{i} = +{{ a: T{i + 1} }}\n" for i in range(n))
+                     + f"type T{n} = end!\ndone\n")
+    code, out = run(capsys, "run", str(chain))
+    assert code == 0 and out.strip() == "DoneReached after 0 steps"
 
 
 def test_dual_of_long_open_chain(capsys, tmp_path):
@@ -277,16 +283,21 @@ def test_demos_run():
         assert done.returncode == 0, (demo, done.stderr)
 
 
-def test_witness_order_ignores_hash_seed(sat):
+def test_witness_order_ignores_hash_seed(sat, tmp_path):
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    outs = []
-    for seed in ("1", "2"):
-        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
-        outs.append(subprocess.run(
-            [sys.executable, "-m", "sessionkit.cli", "subtype", "--rel", "fair",
-             sat, "S", "U"], env=env, capture_output=True, text=True))
-    assert outs[0].returncode == 0 and "witness" in outs[0].stdout
-    assert outs[0].stdout == outs[1].stdout
+    two = tmp_path / "two.st"  # compose answers no after two steps
+    two.write_text("type L = +{ a: +{ b: L, c: end! }, d: L }\n"
+                   "type R = &{ a: &{ b: R }, d: &{ a: &{ c: end? } } }\n")
+    for argv, code, shown in ((["subtype", "--rel", "fair", sat, "S", "U"], 0, "witness"),
+                              (["--json", "corpus", "run"], 0, '"ok": true'),
+                              (["compose", str(two), "L", "R"], 1, "counterexample")):
+        outs = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            outs.append(subprocess.run([sys.executable, "-m", "sessionkit.cli", *argv],
+                                       env=env, capture_output=True, text=True))
+        assert outs[0].returncode == code and shown in outs[0].stdout, argv
+        assert outs[0].stdout == outs[1].stdout, argv
 
 
 _PROGRAMS = [fixtures.SERVER_PROGRAM, fixtures.LINK_SUBSUMPTION_PROGRAM,
@@ -390,6 +401,33 @@ def test_cli_survives_mutated_types_and_machines(case):
                      ["crosscheck", path, left, right, *small],
                      ["qm-encode", mpath, "--input", word],
                      ["qm-sim", mpath, "--input", word, "--max-steps", "30"]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            assert code in (0, 1, 2, 3), argv
+
+
+@st.composite
+def random_texts(draw):
+    """Random printable text, alone or put into a type file."""
+    base = draw(st.sampled_from([""] + _TYPE_FILES))
+    at = draw(st.integers(0, len(base)))
+    return base[:at] + draw(st.text(st.sampled_from(string.printable), max_size=80)) + base[at:]
+
+
+@given(random_texts(), st.sampled_from(["S", "T", "a", "é"]))
+@settings(max_examples=100, deadline=None)
+def test_cli_survives_random_text(src, name):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "t.st")
+        with open(path, "w") as fh:
+            fh.write(src)
+        small = ["--max-pairs", "30", "--max-nodes", "16"]
+        for argv in (["parse", path],
+                     ["dual", path, name],
+                     ["compose", path, name, "S", *small],
+                     ["subtype", "--rel", "fair", path, "S", name, *small],
+                     ["corpus", src]):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main(argv)

@@ -288,6 +288,16 @@ def test_views_and_duals_skip_refinement(raw):
     assert ty.dual(t).nodes == ty.Type(swapped).nodes
 
 
+def reachable(nodes, root):
+    """Ids of a raw table reachable from ``root``, in BFS order."""
+    order = [root]
+    for n in order:  # grows while it is walked
+        for c in ty._kids(nodes[n]):
+            if c not in order:
+                order.append(c)
+    return order
+
+
 def bisimilar_raw(a, b, x=0, y=0):
     """The oracle on raw tables, with no minimization in between."""
     return ty.equiv(SimpleNamespace(nodes=a, root=x), SimpleNamespace(nodes=b, root=y))
@@ -299,7 +309,7 @@ def test_equality_is_bisimilarity(s, t):
     assert (ty.Type(s) == ty.Type(t)) == bisimilar_raw(s, t)
     assert ty.Type(doubled(s)) == ty.Type(s) and bisimilar_raw(doubled(s), s)
     classes = []  # one representative per bisimilarity class
-    for i in ty._reachable(s, 0):
+    for i in reachable(s, 0):
         if not any(bisimilar_raw(s, s, i, j) for j in classes):
             classes.append(i)
     assert ty.Type(s).size() == len(classes)
@@ -308,12 +318,12 @@ def test_equality_is_bisimilarity(s, t):
 @given(deep_tables())
 @settings(max_examples=60, deadline=None)
 def test_partition_is_bisimilarity_on_deep_tables(raw):
-    reach = ty._reachable(raw, 0)
-    cls, table = ty._quotient(raw, reach)
+    reach = reachable(raw, 0)
+    cls = ty._quotient(raw, reach)
     for k, i in enumerate(reach):
         for j in reach[k + 1:]:
             assert (cls[i] == cls[j]) == bisimilar_raw(raw, raw, i, j), (i, j)
-    assert ty.Type(raw).size() == len(set(cls.values())) == len(table)
+    assert ty.Type(raw).size() == len(set(cls.values()))
 
 
 def test_types_settle_on_first_read(monkeypatch):
@@ -332,20 +342,60 @@ def test_types_settle_on_first_read(monkeypatch):
 @settings(max_examples=100, deadline=None)
 def test_bisimilar_types_share_one_table_and_memo(raw):
     a, b = ty.Type(raw), ty.Type(doubled(raw))
-    assert a.nodes is b.nodes and a.memo is b.memo
-    assert ty.Type._minimal(a.nodes).memo is a.memo
+    assert a.key() is b.key() and a.nodes is b.nodes and a.memo is b.memo
+    assert ty.Type(a.nodes).key() is a.key()
 
 
 def test_intern_map_keeps_nothing_alive():
     def build():
-        t = ty.parse_type("type T = +{ a: T, only_here: end! }")
+        t = ty.parse_type("type T = +{ a: T, only_here: &{ c: T } }")
         d = lts.derivative(t, lts.tag("out", "a"), "full")
         assert d == t and d.memo is t.memo  # a cycle: t's memo holds d, d holds t
-        return weakref.ref(t), t.nodes
+        e = lts.derivative(t, lts.tag("in", "c"), "full")  # a stepped copy of the loop
+        assert e != t and ty.dual(e) != e
+        return [weakref.ref(n) for x in (t, e, ty.dual(e)) for n in x.key().reach()]
 
-    ref, table = build()
     gc.collect()
-    assert ref() is None and table not in ty._INTERNED
+    before = len(ty._STORE)
+    refs = build()
+    gc.collect()
+    assert len(ty._STORE) <= before and all(r() is None for r in refs)
+
+
+def test_cycle_bisimilar_to_a_node_it_reaches():
+    # X steps into E, and the loop X is E; the tags are this test's own, so
+    # neither is in the store unless this test put it there
+    src = "type X = +{ p_xe: X, q_xe: E }  type E = +{ p_xe: E, q_xe: E }"
+    for first in ("X", "E"):
+        gc.collect()
+        kept = ty.parse_type(src, first)
+        assert kept.size() == 1
+        x, e = ty.parse_type(src, "X"), ty.parse_type(src, "E")
+        assert x == e and x.size() == 1 and x.key() is kept.key()
+        del kept, x, e
+    gc.collect()
+    every = ty.resolve_all(ty.parse_decls(src))
+    assert every["X"] == every["E"] and every["X"].size() == 1
+    # the same cycle reached through a longer loop, numbered the other way
+    raw = {0: ("plus", (("p_xe", 0, 1), ("q_xe", 0, 2))), 1: ("plus", (("p_xe", 0, 0),
+           ("q_xe", 0, 2))), 2: ("plus", (("p_xe", 0, 2), ("q_xe", 0, 2)))}
+    assert ty.Type(raw) == every["E"] and ty.Type(raw).size() == 1
+
+
+@given(st.one_of(raw_tables(), deep_tables(max_nodes=30)))
+@settings(max_examples=150, deadline=None)
+def test_store_agrees_with_the_oracle(raw):
+    t = ty.Type(raw)
+    view = t.nodes
+    for i in range(len(view)):
+        for j in range(i, len(view)):
+            assert (t.at(i) == t.at(j)) == bisimilar_raw(view, view, i, j), (i, j)
+    derived = [lts.derivative(t, l, mode) for mode in ("must", "ind", "full")
+               for d in ("in", "out") for l in lts.enumerate_labels(t, d, mode)]
+    for u in [t.at(i) for i in range(len(view))] + [ty.dual(t)] + derived:
+        assert u == ty.Type(u.nodes)
+    for u in [ty.dual(t)] + derived:  # views are minimal; the partition is tested above
+        assert len(set(ty._quotient(u.nodes, range(u.size())).values())) == u.size()
 
 
 @given(st.one_of(raw_tables(), deep_tables()))
