@@ -16,7 +16,9 @@ each fixed point above it is a pruning of the nodes against their premises.
 
 ``derivative`` produces the type after an action: "stepped" copies of the
 buffering nodes, with the action pushed past them, over the parent's own
-store nodes, into which the nodes that fire an axiom continue.
+store nodes, into which the nodes that fire an axiom continue.  It makes
+the copies with ``types._image``, the one builder of new store nodes.
+``fas_oracle``, the independent check of ``full``, reads only views.
 
 Results live in the ``memo`` of store nodes (see ``types``), so every
 bisimilar type shares them while the node lives; there is no module-level
@@ -130,20 +132,6 @@ def _premises(n, l: Label):
     if (k == "times" and d == "in") or (k == "par" and d == "out"):
         return [b[2]]
     return None
-
-
-def _axiom_target(t: Type, nid: int, l: Label):
-    """``_step`` at node ``nid`` of the view of ``t``, as a view id."""
-    order = t.node.reach()
-    tgt = _step(order[nid], l)
-    return None if tgt is None else order.index(tgt)
-
-
-def _may_premises(t: Type, nid: int, l: Label):
-    """``_premises`` at node ``nid`` of the view of ``t``, as view ids."""
-    order = t.node.reach()
-    p = _premises(order[nid], l)
-    return None if p is None else [order.index(c) for c in p]
 
 
 def prune(keys, holds, users):
@@ -272,31 +260,18 @@ def derivative(t: Type, l: Label, mode: str = "full") -> Type | None:
         memo[ck] = None
         return None
     rk = ("residual", l)
-    stepped, table = {}, []  # parent node -> its copy's id; id -> copy's body
 
-    def ref(n):
-        tgt = _step(n, l)
-        if tgt is None:
-            tgt = n.memo.get(rk)
-        if tgt is not None:
-            return tgt
-        i = stepped.setdefault(n, len(table))
-        if i == len(table):
-            table.append(n)  # the body replaces it below
-        return i
+    def known(n):
+        return _step(n, l) or n.memo.get(rk)
 
-    root = ref(node)
-    for i, n in enumerate(table):  # grows while it is walked
-        b = n.body
+    def body(b, ref):
         if b[0] in ("plus", "with"):
-            table[i] = (b[0], tuple((tg, m, ref(c)) for tg, m, c in b[1]))
-        else:  # times/par buffering: payload kept, action pushed into cont
-            table[i] = (b[0], b[1], ref(b[2]))
-    if table:
-        res = ty._intern(table, [root])
-        for n, i in stepped.items():
-            n.memo[rk] = res[i]
-        root = res[root]
+            return (b[0], tuple((tg, m, ref(c)) for tg, m, c in b[1]))
+        return (b[0], b[1], ref(b[2]))  # times/par: payload kept, action pushed into cont
+
+    root, made = ty._image(node, known, body)
+    for n, copy in made.items():
+        n.memo[rk] = copy
     out = memo[ck] = Type._of(root)
     return out
 
@@ -343,7 +318,8 @@ def fas_oracle(t: Type, l: Label) -> bool:
 
     For an input label: (a) the type must not reach a state from which it can
     emit outputs forever, and (b) every reachable state with no outputs left
-    must input ``l`` directly.  Dually for output labels.
+    must input ``l`` directly.  Dually for output labels.  It reads only
+    views, and none of the rules of the fast path.
     """
     own = "out" if l.direction == "in" else "in"
 
@@ -386,7 +362,11 @@ def fas_oracle(t: Type, l: Label) -> bool:
                 changed = True
     if div:  # ids is exactly what's reachable from the root
         return False
-    # (b) every own-terminal state must derive l by axiom (empty choices are vacuous)
+    # (b) every own-terminal state must derive l by axiom (empty choices are
+    # vacuous); the axiom is read off the view body, payloads compared by equiv
+    m = l.msg
+    axiom = {"star": ("one", "bot"), "tag": ("plus", "with"),
+             "chan": ("times", "par")}[m[0]][l.direction == "in"]
     for n in ids:
         if own_succs(n):
             continue
@@ -395,6 +375,10 @@ def fas_oracle(t: Type, l: Label) -> bool:
             continue
         if b[0] == "with" and not b[1] and l.direction == "out":
             continue
-        if _axiom_target(t, n, l) is None:
+        if b[0] != axiom:
+            return False
+        if m[0] == "tag" and m[1:] not in [(tg, mm) for tg, mm, _ in b[1]]:
+            return False
+        if m[0] == "chan" and not ty.equiv(t.at(b[1]), m[1]):
             return False
     return True

@@ -119,13 +119,13 @@ def queue_echo_type(m: QueueMachine) -> Type:
 
 def queue_type(m: QueueMachine, contents: str) -> Type:
     """Queue with the given contents: emit them front-first, then echo."""
-    nodes = dict(enumerate(queue_echo_type(m).nodes))
-    root = 0
-    nid = len(nodes)
-    for a in reversed(contents):
+    echo = queue_echo_type(m)
+    if not contents:
+        return echo
+    nodes, root = {}, echo.node  # the chain ends in the echo's store node
+    for nid, a in enumerate(reversed(contents)):
         nodes[nid] = ("plus", ((a, 0, root),))
         root = nid
-        nid += 1
     return Type(nodes, root)
 
 

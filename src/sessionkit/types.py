@@ -28,6 +28,9 @@ key that does not depend on how its nodes were numbered, and added if it is
 not there.  The store holds nodes weakly, so it keeps alive only what some
 live ``Type`` reaches, and needs no eviction.  Each node carries its dual
 and the ``memo`` in which ``lts`` keeps enabledness, derivatives and labels.
+New nodes are made from old ones one way, by ``_image``: ``dual`` and
+``lts.derivative`` give it the image of each node they already know and the
+body of each one they lack, and it interns the new bodies together.
 
 ``Type(nodes, root)`` accepts a raw table, a dict or sequence of bodies over
 table ids, and settles it into the store when it is first read.
@@ -168,37 +171,20 @@ class Type:
 
 
 def dual(t: Type) -> Type:
-    """Swap every constructor for its dual; measures and tags are untouched."""
-    return Type._of(_dual(t.node))
+    """Swap every constructor for its dual; measures and tags are untouched.
 
-
-def _dual(node: _Node) -> _Node:
-    """The dual's store node, memoized both ways on every node it reaches.
-
-    Duality keeps bisimilarity classes, so the swapped nodes are minimal and
-    bisimilar to no node they reach: they are only looked up.
+    The dual of a node is memoized both ways on every node it reaches.
     """
+    node = t.node
     if node.dual is None:
-        local, todo, raw = {node: 0}, [node], []
-
-        def ref(c):
-            if c.dual is not None:
-                return c.dual
-            i = local.setdefault(c, len(todo))
-            if i == len(todo):
-                todo.append(c)
-            return i
-
-        for n in todo:  # grows while it is walked
-            b = n.body
+        def body(b, ref):
             if b[0] in ("plus", "with"):
-                raw.append((_DUAL_KIND[b[0]], tuple((tg, m, ref(c)) for tg, m, c in b[1])))
-            else:
-                raw.append((_DUAL_KIND[b[0]], *map(ref, b[1:])))
-        res = _intern(raw, range(len(todo)), minimal=True)
-        for n, i in local.items():
-            n.dual, res[i].dual = res[i], n
-    return node.dual
+                return (_DUAL_KIND[b[0]], tuple((tg, m, ref(c)) for tg, m, c in b[1]))
+            return (_DUAL_KIND[b[0]], *map(ref, b[1:]))
+
+        for n, d in _image(node, lambda n: n.dual, body)[1].items():
+            n.dual, d.dual = d, n
+    return Type._of(node.dual)
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +341,12 @@ def _components(nodes, roots) -> list:
     return out
 
 
-def _intern(nodes, roots, minimal: bool = False) -> dict:
+def _intern(nodes, roots) -> dict:
     """Add what the raw ids reachable from ``roots`` stand for to the store.
 
     A raw body's successors are ids of ``nodes`` or store nodes.  Components
     are added successors first, so a node on no cycle is looked up by its
-    body over store nodes.  With ``minimal``, every cyclic component is known
-    to be minimal and bisimilar to no node it reaches, and is only looked
-    up.  Returns the store node of every id reached.
+    body over store nodes.  Returns the store node of every id reached.
     """
     res = {}
     for comp in _components(nodes, roots):
@@ -375,11 +359,38 @@ def _intern(nodes, roots, minimal: bool = False) -> dict:
                 n = _STORE[k] = _Node(b)
             res[v] = n
         else:
-            _add_cycle({v: _renamed(nodes[v], res) for v in comp}, res, minimal)
+            _add_cycle({v: _renamed(nodes[v], res) for v in comp}, res)
     return res
 
 
-def _add_cycle(bodies: dict, res: dict, minimal: bool):
+def _image(root: _Node, known, body) -> tuple:
+    """The image of ``root`` under a map of store nodes, making what it lacks.
+
+    ``known(n)`` is the image of ``n`` if it is in the store already, else
+    None; ``body(b, ref)`` is the image of a node with body ``b``, over
+    ``ref`` of the successors it maps.  The nodes to make are numbered as
+    found, root first, then successors in branch order, and interned by one
+    ``_intern``.  Returns the root's image and ``{node: image}`` of those made.
+    """
+    made, todo = {}, []
+
+    def ref(n):
+        img = known(n)
+        if img is None:
+            img = made.setdefault(n, len(todo))
+            if img == len(todo):
+                todo.append(n)
+        return img
+
+    top = ref(root)
+    if not todo:
+        return top, {}
+    raw = [body(n.body, ref) for n in todo]  # todo grows while it is walked
+    res = _intern(raw, [top])
+    return res[top], {n: res[i] for n, i in made.items()}
+
+
+def _add_cycle(bodies: dict, res: dict):
     """Put the store node of each id of a cyclic component into ``res``.
 
     ``bodies`` maps the component's ids to bodies over its ids and store
@@ -392,11 +403,11 @@ def _add_cycle(bodies: dict, res: dict, minimal: bool):
     and ``_cycle_key`` finds that one by its key.
     """
     near = {}  # first node -> the cyclic component it heads
-    for b in () if minimal else bodies.values():
+    for b in bodies.values():
         for c in _kids(b):
             if isinstance(c, _Node) and c.scc is not None:
                 near[c.scc[0]] = c.scc
-    if near or not minimal and len(bodies) > 1:
+    if near or len(bodies) > 1:
         table = dict(bodies)
         for scc in near.values():
             table.update((n, n.body) for n in scc)
@@ -406,7 +417,7 @@ def _add_cycle(bodies: dict, res: dict, minimal: bool):
             for v in bodies:
                 res[v] = old[cls[v]]
             return
-    else:  # minimal as it stands: one node stepping into no cycle, or a dual
+    else:  # minimal as it stands: one node stepping into no cycle
         cls = {v: v for v in bodies}
     quotient = {}
     for v, b in bodies.items():
@@ -421,13 +432,8 @@ def _add_cycle(bodies: dict, res: dict, minimal: bool):
             n.body, n.scc = _renamed(quotient[k], new), scc
             _STORE[_key(n.body)] = n
         _CYCLES[key] = scc[0]
-    else:  # walk both components in step
-        new, todo = {order[0]: first}, [order[0]]
-        for k in todo:  # grows while it is walked
-            for c, n in zip(_kids(quotient[k]), _kids(new[k].body)):
-                if c in quotient and c not in new:
-                    new[c] = n
-                    todo.append(c)
+    else:  # equal keys list the nodes of two minimal components in the same order
+        new = dict(zip(order, first.scc))
     for v in bodies:
         res[v] = new[cls[v]]
 

@@ -288,9 +288,18 @@ def test_witness_order_ignores_hash_seed(sat, tmp_path):
     two = tmp_path / "two.st"  # compose answers no after two steps
     two.write_text("type L = +{ a: +{ b: L, c: end! }, d: L }\n"
                    "type R = &{ a: &{ b: R }, d: &{ a: &{ c: end? } } }\n")
+    ho = tmp_path / "ho.st"  # ?(P) is pushed past a loop of channel outputs
+    ho.write_text("type S = +{ a: !(P) . S, b: ?(P) . end! }\n"
+                  "type P = +{ a: P, b: &{ c: end? } }\n")
+    machine = tmp_path / "m.json"
+    machine.write_text(json.dumps(fixtures.QM_COUNTDOWN))
     for argv, code, shown in ((["subtype", "--rel", "fair", sat, "S", "U"], 0, "witness"),
                               (["--json", "corpus", "run"], 0, '"ok": true'),
-                              (["compose", str(two), "L", "R"], 1, "counterexample")):
+                              (["compose", str(two), "L", "R"], 1, "counterexample"),
+                              (["--json", "qm-encode", str(machine), "--input", "aa"], 0,
+                               '"queue"'),
+                              (["--json", "step", str(ho), "S", "--label", "?(P)"], 0,
+                               '"times"')):
         outs = []
         for seed in ("1", "2"):
             env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
@@ -409,8 +418,9 @@ def test_cli_survives_mutated_types_and_machines(case):
 
 @st.composite
 def random_texts(draw):
-    """Random printable text, alone or put into a type file."""
-    base = draw(st.sampled_from([""] + _TYPE_FILES))
+    """Random printable text, alone or put into a type file, a program or a machine."""
+    base = draw(st.sampled_from([""] + _TYPE_FILES + _PROGRAMS
+                                + [json.dumps(m) for m in _MACHINES]))
     at = draw(st.integers(0, len(base)))
     return base[:at] + draw(st.text(st.sampled_from(string.printable), max_size=80)) + base[at:]
 
@@ -427,7 +437,12 @@ def test_cli_survives_random_text(src, name):
                      ["dual", path, name],
                      ["compose", path, name, "S", *small],
                      ["subtype", "--rel", "fair", path, "S", name, *small],
-                     ["corpus", src]):
+                     ["corpus", src],
+                     ["typecheck", path, "--budget", "30"],
+                     ["run", path, "--max-steps", "30"],
+                     ["probe", path, "--budget", "30"],
+                     ["qm-encode", path, "--input", "a"],
+                     ["qm-sim", path, "--input", "a", "--max-steps", "30"]):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main(argv)

@@ -1,11 +1,14 @@
 import ast
 import glob
+import importlib
 import os
+import runpy
 import sys
 
 import sessionkit
 
 SRC = os.path.dirname(sessionkit.__file__)
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(SRC)), "perfbench")
 
 
 def _imported(tree):
@@ -26,3 +29,14 @@ def test_runtime_imports_only_the_standard_library():
             tree = ast.parse(fh.read(), path)
         bad = sorted(set(_imported(tree)) - allowed)
         assert not bad, (os.path.basename(path), bad)
+
+
+def test_benchmark_hooks_resolve():
+    # a hook whose target is renamed away would silently zero a layer metric
+    hooks = runpy.run_path(os.path.join(PERFBENCH, "tracing.py"))["HOOKS"]
+    assert hooks
+    for _, mod, path, _ in hooks:
+        target = importlib.import_module(f"sessionkit.{mod}")
+        for part in path.split("."):
+            target = getattr(target, part)
+        assert callable(target), (mod, path)

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,16 +137,16 @@ def test_duality_symmetry_channels():
     assert lts.enabled(ty.dual(t), lts.chan("in", ty.dual(p)), "must")
 
 
-@given(types_st)
+@given(st.integers(0, 10**9), st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_full_agrees_with_independent_oracle(t):
+def test_full_agrees_with_independent_oracle(seed, higher_order):
+    t = auto(seed, 6 if higher_order else 8, higher_order)
     for d in ("in", "out"):
         for l in lts.enumerate_labels(t, d, "full"):
-            if l.is_first_order:
-                assert lts.fas_oracle(t, l)
-    # and some labels that are *not* full-enabled
-    for l in (lts.star("in"), lts.star("out"), lts.tag("in", "a"), lts.tag("out", "a")):
-        assert lts.enabled(t, l, "full") == lts.fas_oracle(t, l)
+            assert lts.fas_oracle(t, l)
+    # and labels that are *not* full-enabled, channels with dual payloads among them
+    for l in (lts.tag("in", "a"), lts.tag("out", "a"), *_candidate_labels(t)):
+        assert lts.enabled(t, l, "full") == lts.fas_oracle(t, l), str(l)
 
 
 @given(types_st)
@@ -202,10 +203,35 @@ def test_prune_replays_the_sweeps(game):
     assert lts.prune(keys, holds, users) == _sweep(keys, holds)
 
 
+def _axiom(t, n, l):
+    """The view id node ``n`` of ``t`` steps to by an axiom under ``l``, or None."""
+    b, m, out = t.nodes[n], l.msg, l.direction == "out"
+    if m[0] == "star":
+        return n if b[0] == ("one" if out else "bot") else None
+    if m[0] == "tag":
+        if b[0] != ("plus" if out else "with"):
+            return None
+        return next((c for tg, mm, c in b[1] if (tg, mm) == m[1:]), None)
+    if b[0] != ("times" if out else "par"):
+        return None
+    payload = SimpleNamespace(nodes=t.nodes, root=b[1])  # a view, not a store node
+    return b[2] if ty.equiv(payload, m[1]) else None
+
+
+def _buffered(t, n, l):
+    """The view ids the buffering rule at node ``n`` of ``t`` defers to, or None."""
+    b, out = t.nodes[n], l.direction == "out"
+    if b[0] == ("with" if out else "plus"):
+        return [c for _, _, c in b[1]]
+    if b[0] == ("par" if out else "times"):
+        return [b[2]]
+    return None
+
+
 def _chaotic_enabled(t, l, mode):
     """Reference for lts.enabled_nodes: plain chaotic iteration of the rules."""
     ids = range(t.size())
-    ax = {n for n in ids if lts._axiom_target(t, n, l) is not None}
+    ax = {n for n in ids if _axiom(t, n, l) is not None}
 
     def lfp(fair):
         cur = set(ax)
@@ -213,7 +239,7 @@ def _chaotic_enabled(t, l, mode):
         while changed:
             changed = False
             for n in ids:
-                prem = lts._may_premises(t, n, l)
+                prem = _buffered(t, n, l)
                 if n in cur or prem is None:
                     continue
                 ok = all(c in cur for c in prem)
@@ -231,7 +257,7 @@ def _chaotic_enabled(t, l, mode):
     while changed:
         changed = False
         for n in list(cur):
-            prem = lts._may_premises(t, n, l)
+            prem = _buffered(t, n, l)
             if n not in ax and (prem is None or not all(c in cur for c in prem)):
                 cur.discard(n)
                 changed = True
@@ -247,6 +273,7 @@ def _candidate_labels(t):
                     yield lts.tag(d, tg, m)
             elif b[0] in ("times", "par"):
                 yield lts.chan(d, t.at(b[1]))
+                yield lts.chan(d, ty.dual(t.at(b[1])))
 
 
 @given(st.integers(0, 10**9), st.booleans())
@@ -294,7 +321,7 @@ def _two_layer_derivative(t, l, mode):
         return None
 
     def ref(n):
-        tgt = lts._axiom_target(t, n, l)
+        tgt = _axiom(t, n, l)
         return ("o", tgt) if tgt is not None else ("s", n)
 
     root = ref(t.root)

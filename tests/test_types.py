@@ -280,7 +280,7 @@ def test_dual_preserves_fair_termination(t):
 
 @given(raw_tables())
 @settings(max_examples=150, deadline=None)
-def test_views_and_duals_skip_refinement(raw):
+def test_views_and_duals_match_settled_tables(raw):
     t = ty.Type(raw)
     for n in range(t.size()):
         assert t.at(n).nodes == ty.Type(t.nodes, n).nodes
