@@ -28,8 +28,9 @@ earlier question reached, and the game reads the bit of the root alone.
 ``enabled_nodes`` collects the bits of a whole view.  A node's stepped copy
 under a label is memoized too, so ``derivative`` interns only copies that
 were never made before; the root also keeps the derivative's ``Type`` per
-(label, mode), and the labels ``enumerate_labels`` found per (direction,
-mode).
+(label, mode), None when the label is not enabled, so the game asks
+``derivative`` alone whether a responder can answer.  ``enumerate_labels``
+returns the tuple it memoizes per (direction, mode).
 """
 
 from __future__ import annotations
@@ -276,7 +277,7 @@ def derivative(t: Type, l: Label, mode: str = "full") -> Type | None:
     return out
 
 
-def enumerate_labels(t: Type, direction: str, mode: str = "full") -> list:
+def enumerate_labels(t: Type, direction: str, mode: str = "full") -> tuple:
     """The enabled labels in the given direction, among those the type names.
 
     Candidates are ``*``, every (tag, measure) pair that occurs in the
@@ -291,7 +292,7 @@ def enumerate_labels(t: Type, direction: str, mode: str = "full") -> list:
     memo, ck = node.memo, ("labels", direction, mode)
     hit = memo.get(ck)
     if hit is not None:
-        return list(hit)
+        return hit
     cands = [star(direction)]
     seen_tags = set()
     seen_chans = set()
@@ -306,7 +307,7 @@ def enumerate_labels(t: Type, direction: str, mode: str = "full") -> list:
             seen_chans.add(b[1])
             cands.append(chan(direction, Type._of(b[1])))
     out = memo[ck] = tuple(l for l in cands if _enabled(node, l, mode))
-    return list(out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -119,10 +119,14 @@ def queue_echo_type(m: QueueMachine) -> Type:
 
 def queue_type(m: QueueMachine, contents: str) -> Type:
     """Queue with the given contents: emit them front-first, then echo."""
-    echo = queue_echo_type(m)
+    return _queue(queue_echo_type(m), contents)
+
+
+def _queue(echo: Type, contents: str) -> Type:
+    """``contents`` emitted front-first, ending in the echo's store node."""
     if not contents:
         return echo
-    nodes, root = {}, echo.node  # the chain ends in the echo's store node
+    nodes, root = {}, echo.node
     for nid, a in enumerate(reversed(contents)):
         nodes[nid] = ("plus", ((a, 0, root),))
         root = nid
@@ -131,6 +135,11 @@ def queue_type(m: QueueMachine, contents: str) -> Type:
 
 def control_type(m: QueueMachine, state: str | None = None) -> Type:
     """The control endpoint: read a symbol, emit the appended string, continue."""
+    return _controls(m)[state or m.start]
+
+
+def _controls(m: QueueMachine) -> dict:
+    """The control endpoint at every state, its table interned once."""
     nodes = {}
     state_node = {q: i for i, q in enumerate(m.states)}
     nid = len(m.states)
@@ -147,7 +156,8 @@ def control_type(m: QueueMachine, state: str | None = None) -> Type:
                 nid += 1
             branches.append((a, 0, tgt))
         nodes[state_node[q]] = ("with", tuple(sorted(branches)))
-    return Type(nodes, state_node[state or m.start])
+    res = ty._intern(nodes, state_node.values())
+    return {q: Type._of(res[i]) for q, i in state_node.items()}
 
 
 def encode(m: QueueMachine, word: str) -> tuple[Type, Type]:
@@ -167,26 +177,27 @@ def step_correspondence(m: QueueMachine, word: str, max_steps: int = 200) -> dic
     from . import lts
 
     # a step starts from the encodings the previous step ended on, so each
-    # is built, and minimized on its first ``equiv``, once per call
-    built = {}
+    # queue is built, and settled on its first ``equiv``, once per call, over
+    # one echo loop; the control table is interned once for every state
+    echo, controls, queues = queue_echo_type(m), _controls(m), {}
 
-    def encoding(make, arg):
-        if (make, arg) not in built:
-            built[make, arg] = make(m, arg)
-        return built[make, arg]
+    def queue_of(contents):
+        if contents not in queues:
+            queues[contents] = _queue(echo, contents)
+        return queues[contents]
 
     sim = simulate(m, word, max_steps)
     checks = []
     for (q, queue), (q2, queue2) in zip(sim.history, sim.history[1:]):
         a = queue[0]
         _, suffix = m.delta[(q, a)]
-        qt, ct = encoding(queue_type, queue), encoding(control_type, q)
+        qt, ct = queue_of(queue), controls[q]
         ok = True
         out = lts.derivative(qt, lts.tag("out", a), "must")
         inp = lts.derivative(ct, lts.tag("in", a), "must")
         ok = ok and out is not None and inp is not None
         if ok:
-            ok = ty.equiv(out, encoding(queue_type, queue[1:]))
+            ok = ty.equiv(out, queue_of(queue[1:]))
         qcur = out
         ccur = inp
         rest = queue[1:]
@@ -198,11 +209,11 @@ def step_correspondence(m: QueueMachine, word: str, max_steps: int = 200) -> dic
             ok = ok and emit is not None and took is not None
             if ok:
                 rest = rest + c
-                ok = ty.equiv(took, encoding(queue_type, rest))
+                ok = ty.equiv(took, queue_of(rest))
                 qcur, ccur = took, emit
         if ok:
-            ok = ty.equiv(qcur, encoding(queue_type, queue2)) and \
-                ty.equiv(ccur, encoding(control_type, q2))
+            ok = ty.equiv(qcur, queue_of(queue2)) and \
+                ty.equiv(ccur, controls[q2])
         checks.append(ok)
     return {"sim": sim, "steps_ok": checks, "all_ok": all(checks)}
 

@@ -32,12 +32,17 @@ plays send-left, send-right, send-chan-left and send-chan-right: outputs of
 one side answered by inputs of the other.  Subtyping plays receive-sup and
 send-sub, then receive-chan-sup and send-chan-sub, which first-order kinds
 skip; ``bzfairsub`` adds must-output-reachability.
+
+A challenge is a tuple ``(clause, label, responses, note)``, and a response
+is ``(label, successor pairs)``; ``note`` says why a challenge has none.
+``check`` numbers the successor pairs, ``_extract_trace`` reads the clause,
+labels and note of the pairs it visits, and the validators call ``_expand``
+themselves and read the same tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import functools
 
 from . import lts, types as ty
 from .types import Type, dual
@@ -80,20 +85,6 @@ SUB_KINDS = tuple(k for k, m in MODES.items() if m[0] == "sub")
 class Budget:
     max_pairs: int = 2000
     max_nodes_per_type: int = 64
-
-
-@dataclass
-class Response:
-    label: object  # lts.Label | None
-    succs: list  # [(Type, Type)]
-
-
-@dataclass
-class Challenge:
-    clause: str
-    label: object
-    responses: list
-    note: str | None = None
 
 
 @dataclass
@@ -168,34 +159,35 @@ def _expand(kind: str, S: Type, T: Type):
         for l in lts.enumerate_labels(X, cd, chal):
             if l.is_first_order == is_chan:
                 continue  # the game's other clause plays this label
-            if is_chan:
-                # the same payload when both sides act alike, its dual when
-                # they face each other: an empty choice derives it vacuously
-                hint = lts.chan(rd, l.msg[1] if cd == rd else dual(l.msg[1]))
-                answers = [m for m in lts.enumerate_labels(Y, rd, resp)
-                           if not m.is_first_order]
-                if hint not in answers and lts.enabled(Y, hint, resp):
-                    answers.append(hint)
-                miss = note
-            else:
-                m = lts.Label(rd, l.msg)
-                answers = [m] if lts.enabled(Y, m, resp) else []
-                miss = None if answers else _measure_note(Y, m, resp)
+            if not is_chan:  # Y answers with the same message, or cannot
+                m = l if cd == rd else lts.Label(rd, l.msg)
+                y = lts.derivative(Y, m, resp)
+                if y is None:
+                    chs.append((clause, l, (), _measure_note(Y, m, resp)))
+                else:
+                    x = lts.derivative(X, l, chal)
+                    pair = (y, x) if c else (x, y)
+                    chs.append((clause, l, ((m, (pair,)),), None))
+                continue
+            # the same payload when both sides act alike, its dual when they
+            # face each other: an empty choice derives it vacuously
+            hint = lts.chan(rd, l.msg[1] if cd == rd else dual(l.msg[1]))
+            answers = [m for m in lts.enumerate_labels(Y, rd, resp) if not m.is_first_order]
+            if hint not in answers and lts.enabled(Y, hint, resp):
+                answers.append(hint)
             after = lts.derivative(X, l, chal) if answers else None
             rs = []
             for m in answers:
                 # (challenger's part, responder's part), put as (left, right)
-                succs = [(l.msg[1], m.msg[1])] if is_chan else []
-                succs.append((after, lts.derivative(Y, m, resp)))
-                rs.append(Response(m, [p[::-1] if c else p for p in succs]))
-            chs.append(Challenge(clause, l, rs, None if rs else miss))
+                succs = ((l.msg[1], m.msg[1]), (after, lts.derivative(Y, m, resp)))
+                rs.append((m, tuple(p[::-1] for p in succs) if c else succs))
+            chs.append((clause, l, rs, None if rs else note))
     if reach and any(l.is_first_order for l in lts.enumerate_labels(S, "out", "must")):
         for tau in _must_reachable_outputs(T):
             if not lts.enabled(S, tau, "must"):
-                chs.append(Challenge(
-                    "must-output-reachability", tau, [],
-                    "supertype reaches this output over must inputs; "
-                    "candidate cannot emit it now"))
+                chs.append(("must-output-reachability", tau, (),
+                            "supertype reaches this output over must inputs; "
+                            "candidate cannot emit it now"))
     # composition faces the right side's dual; subtyping compares it as is
     pol_ok = S.is_positive() or T.is_positive() == (game == "compose")
     return pol_ok, chs
@@ -211,7 +203,7 @@ def check(S: Type, T: Type, kind: str, budget: Budget | None = None) -> Verdict:
     b = budget or Budget()
     warnings = []
     if MODES[kind][3]:
-        if any(body[0] in ("times", "par") for t in (S, T) for body in t.nodes):
+        if not (ty.is_first_order(S) and ty.is_first_order(T)):
             raise ValueError(f"{kind} is defined for first-order types only")
         for side, t in (("left", S), ("right", T)):
             if not ty.is_fairly_terminating(t):
@@ -222,29 +214,32 @@ def check(S: Type, T: Type, kind: str, budget: Budget | None = None) -> Verdict:
     order = [root]
     users = [[]]  # number -> numbers of the pairs whose responses reach it
     nodes = []  # number -> (pol_ok, challenges, successor numbers per response) | None
-
-    def number(pair, user):
-        j = ids.setdefault(pair, len(order))
-        if j == len(order):
-            order.append(pair)
-            users.append([])
-        users[j].append(user)
-        return j
-
     for i, key in enumerate(order):  # grows as successors are discovered
         if (i and len(order) > b.max_pairs) or \
                 max(key[0].size(), key[1].size()) > b.max_nodes_per_type:
             nodes.append(None)  # frontier
             continue
         pol_ok, chs = _expand(kind, *key)
-        succs = [[[number(p, i) for p in r.succs] for r in ch.responses] for ch in chs]
+        succs = []
+        for _, _, responses, _ in chs:
+            rs = []
+            for _, pairs in responses:
+                js = []
+                for p in pairs:
+                    j = ids.setdefault(p, len(order))
+                    if j == len(order):
+                        order.append(p)
+                        users.append([])
+                    users[j].append(i)
+                    js.append(j)
+                rs.append(js)
+            succs.append(rs)
         nodes.append((pol_ok, chs, succs))
 
-    def holds(i, live, frontier_good):
-        if nodes[i] is None:
-            return frontier_good
-        pol_ok, _, succs = nodes[i]
-        return pol_ok and all(any(live.issuperset(r) for r in rs) for rs in succs)
+    def holds(i, live):  # unexplored pairs lose
+        node = nodes[i]
+        return node is not None and node[0] and \
+            all(any(live.issuperset(r) for r in rs) for rs in node[2])
 
     n_frontier = nodes.count(None)
     stats = {"pairs_explored": len(order),
@@ -253,13 +248,14 @@ def check(S: Type, T: Type, kind: str, budget: Budget | None = None) -> Verdict:
              "max_pairs": b.max_pairs}
 
     keys = range(len(order))
-    pess, removed = lts.prune(keys, functools.partial(holds, frontier_good=False), users)
+    pess, removed = lts.prune(keys, holds, users)
     if 0 in pess:
         witness = _extract_witness(nodes, order, pess)
         return Verdict(kind, "yes", witness=witness, stats=stats, warnings=warnings)
     opt = pess
     if n_frontier:  # the optimistic game differs only where pairs are unexplored
-        opt, removed = lts.prune(keys, functools.partial(holds, frontier_good=True), users)
+        opt, removed = lts.prune(keys, lambda i, live: nodes[i] is None or holds(i, live),
+                                 users)
     if 0 not in opt:
         trace, reason = _extract_trace(nodes, order, removed)
         return Verdict(kind, "no", trace=trace, reason=reason, stats=stats,
@@ -295,19 +291,19 @@ def _extract_trace(nodes, order, removed):
                           "note": "both endpoints negative"})
             return steps, "polarity violation"
         cut = rank[i]
-        for ch, rs in zip(chs, succs):
+        for (clause, label, resps, note), rs in zip(chs, succs):
             hits = [[j for j in js if rank.get(j, cut) < cut] for js in rs]
             if all(hits):
                 break
         if not rs:
-            steps.append({"pair": pair_txt, "clause": ch.clause, "label": ch.label,
-                          "note": ch.note or "no response"})
-            return steps, ("measure mismatch" if ch.note and "measure" in ch.note
-                           else f"unanswered challenge in {ch.clause}")
-        r, nxt = min(((r, j) for r, js in zip(ch.responses, hits) for j in js),
+            steps.append({"pair": pair_txt, "clause": clause, "label": label,
+                          "note": note or "no response"})
+            return steps, ("measure mismatch" if note and "measure" in note
+                           else f"unanswered challenge in {clause}")
+        r, nxt = min(((r, j) for r, js in zip(resps, hits) for j in js),
                      key=lambda p: rank[p[1]])
-        steps.append({"pair": pair_txt, "clause": ch.clause, "label": ch.label,
-                      "response": r.label,
+        steps.append({"pair": pair_txt, "clause": clause, "label": label,
+                      "response": r[0],
                       "_next_key": order[nxt],
                       "next": [ty.render_inline(x) for x in order[nxt]]})
         i = nxt
@@ -324,10 +320,9 @@ def validate_witness(kind: str, members: list) -> tuple[bool, str | None]:
         pol_ok, chs = _expand(kind, a, b)
         if not pol_ok:
             return False, f"polarity fails at ({ty.render_inline(a)}, {ty.render_inline(b)})"
-        for ch in chs:
-            ok = any(all(s in keys for s in r.succs) for r in ch.responses)
-            if not ok:
-                return False, (f"challenge {ch.clause} {ch.label} unanswered at "
+        for clause, label, resps, _ in chs:
+            if not any(all(s in keys for s in succs) for _, succs in resps):
+                return False, (f"challenge {clause} {label} unanswered at "
                                f"({ty.render_inline(a)}, {ty.render_inline(b)})")
     return True, None
 
@@ -343,28 +338,19 @@ def validate_counterexample(S: Type, T: Type, kind: str, trace: list) -> tuple[b
             if pol_ok:
                 return False, f"step {i}: polarity holds"
             return True, None
-        match = [ch for ch in chs
-                 if ch.clause == step["clause"]
-                 and ch.label == step["label"]]
+        match = [resps for clause, label, resps, _ in chs
+                 if clause == step["clause"] and label == step["label"]]
         if not match:
             return False, f"step {i}: challenge not present at this pair"
-        ch = match[0]
+        resps = match[0]
         if i == len(trace) - 1:
-            if ch.responses:
+            if resps:
                 return False, f"step {i}: final challenge has responses"
             return True, None
         nxt = step.get("_next_key")
         resp = step.get("response")
-        found = None
-        for r in ch.responses:
-            if resp is not None and r.label != resp:
-                continue
-            for s in r.succs:
-                if nxt is None or s == nxt:
-                    found = s
-                    break
-            if found:
-                break
+        found = next((s for label, succs in resps if resp is None or label == resp
+                      for s in succs if nxt is None or s == nxt), None)
         if found is None:
             return False, f"step {i}: recorded response/successor not derivable"
         cur = found

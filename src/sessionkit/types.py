@@ -27,7 +27,10 @@ can be bisimilar to a node it reaches: ``X = +{a: X, b: E}`` is
 key that does not depend on how its nodes were numbered, and added if it is
 not there.  The store holds nodes weakly, so it keeps alive only what some
 live ``Type`` reaches, and needs no eviction.  Each node carries its dual
-and the ``memo`` in which ``lts`` keeps enabledness, derivatives and labels.
+and the ``memo`` in which ``lts`` keeps enabledness, derivatives and labels,
+and this module keeps three facts of the node as a root: ``"inline"``
+(``render_inline``), ``"fair"`` (``is_fairly_terminating``) and
+``"first_order"`` (``is_first_order``).
 New nodes are made from old ones one way, by ``_image``: ``dual`` and
 ``lts.derivative`` give it the image of each node they already know and the
 body of each one they lack, and it interns the new bodies together.
@@ -497,8 +500,12 @@ def is_fairly_terminating(t: Type, detail: dict | None = None) -> bool:
     edges, seeded with the terminated nodes, must mark every node reachable
     from the root, payload types included; in a minimal table that is every
     node.  That holds exactly when every terminal strongly connected
-    component of the continuation graph holds a terminated node.
+    component of the continuation graph holds a terminated node.  The
+    answer is memoized on the root, and read back when no detail is asked.
     """
+    memo = t.node.memo
+    if detail is None and "fair" in memo:
+        return memo["fair"]
     nodes = t.nodes
     preds = [[] for _ in nodes]
     done = []
@@ -519,7 +526,16 @@ def is_fairly_terminating(t: Type, detail: dict | None = None) -> bool:
             if p not in marked:
                 marked.add(p)
                 done.append(p)
-    return len(marked) == len(nodes)
+    memo["fair"] = len(marked) == len(nodes)
+    return memo["fair"]
+
+
+def is_first_order(t: Type) -> bool:
+    """True iff no node of ``t`` sends or receives a channel; memoized on the root."""
+    memo = t.node.memo
+    if "first_order" not in memo:
+        memo["first_order"] = not any(b[0] in ("times", "par") for b in t.nodes)
+    return memo["first_order"]
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +837,10 @@ def _render_body(b, label) -> str:
 
 
 def render_inline(t: Type) -> str:
-    """One-line rendition; loops fall back to node references ``%N``."""
+    """One-line rendition; loops fall back to node references ``%N``.  Memoized on the root."""
+    memo = t.node.memo
+    if "inline" in memo:
+        return memo["inline"]
     # An explicit stack of text, nodes to render and ("leave", node) marks,
     # so deep types render without recursion.
     out, path, todo = [], set(), [0]
@@ -848,7 +867,8 @@ def render_inline(t: Type) -> str:
                 parts = ["!(" if b[0] == "times" else "?(", b[1], ").", b[2]]
             todo.append(("leave", item))
             todo.extend(reversed(parts))
-    return "".join(out)
+    memo["inline"] = "".join(out)
+    return memo["inline"]
 
 
 def to_json(t: Type) -> dict:

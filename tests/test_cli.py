@@ -293,13 +293,23 @@ def test_witness_order_ignores_hash_seed(sat, tmp_path):
                   "type P = +{ a: P, b: &{ c: end? } }\n")
     machine = tmp_path / "m.json"
     machine.write_text(json.dumps(fixtures.QM_COUNTDOWN))
+    measure = tmp_path / "measure.st"  # !go, then !a@1 against !a@2
+    measure.write_text("type S = +{ go: +{ a@1: end! } }\n"
+                       "type T = +{ go: +{ a@2: end! } }\n")
+    slot = tmp_path / "slot.st"
+    slot.write_text(fixtures.SLOT_TYPES)
     for argv, code, shown in ((["subtype", "--rel", "fair", sat, "S", "U"], 0, "witness"),
                               (["--json", "corpus", "run"], 0, '"ok": true'),
                               (["compose", str(two), "L", "R"], 1, "counterexample"),
                               (["--json", "qm-encode", str(machine), "--input", "aa"], 0,
                                '"queue"'),
                               (["--json", "step", str(ho), "S", "--label", "?(P)"], 0,
-                               '"times"')):
+                               '"times"'),
+                              # a note and must-output-reachability end a trace
+                              (["--json", "subtype", "--rel", "fair", str(measure), "S", "T"],
+                               1, '"note": "measure mismatch on tag \'a\': 1 vs 2"'),
+                              (["--json", "subtype", "--rel", "bzfair", str(slot), "T", "S"],
+                               1, '"clause": "must-output-reachability"')):
         outs = []
         for seed in ("1", "2"):
             env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}

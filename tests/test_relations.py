@@ -1,10 +1,12 @@
+import itertools
 import random
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sessionkit import fixtures, randgen, relations
+from sessionkit import fixtures, lts, randgen, relations
 from sessionkit import types as ty
 
 
@@ -211,8 +213,8 @@ MIRRORED = {"send-left": "send-sub", "send-right": "receive-sup",
 
 def _shape(expansion, rename=lambda clause: clause):
     pol_ok, chs = expansion
-    return pol_ok, Counter((rename(ch.clause), ch.label.msg[0], len(ch.responses))
-                           for ch in chs)
+    return pol_ok, Counter((rename(clause), label.msg[0], len(responses))
+                           for clause, label, responses, _ in chs)
 
 
 @given(st.integers(0, 10**9), st.booleans(), st.booleans())
@@ -226,3 +228,85 @@ def test_compose_mirrors_fairsub_against_dual(seed, higher_order, mutant):
          else randgen.random_tractable(rng, 6, higher_order=higher_order))
     assert (_shape(relations._expand("compose", S, T), MIRRORED.get)
             == _shape(relations._expand("fairsub", S, ty.dual(T))))
+
+
+@dataclass
+class _Response:
+    label: object
+    succs: list
+
+
+@dataclass
+class _Challenge:
+    clause: str
+    label: object
+    responses: list
+    note: str | None = None
+
+
+def _dataclass_expand(kind, S, T):
+    """Reference for relations._expand: the game as objects, asking ``enabled``
+    before ``derivative`` and building a fresh response label every time."""
+    game, chal, resp, first_order, reach = relations.MODES[kind]
+    sides = (S, T)
+    chs = []
+    for clause, c, cd, rd, is_chan, note in relations.RULES[game]:
+        if is_chan and first_order:
+            continue
+        X, Y = sides[c], sides[1 - c]
+        for l in lts.enumerate_labels(X, cd, chal):
+            if l.is_first_order == is_chan:
+                continue
+            if is_chan:
+                hint = lts.chan(rd, l.msg[1] if cd == rd else ty.dual(l.msg[1]))
+                answers = [m for m in lts.enumerate_labels(Y, rd, resp)
+                           if not m.is_first_order]
+                if hint not in answers and lts.enabled(Y, hint, resp):
+                    answers.append(hint)
+                miss = note
+            else:
+                m = lts.Label(rd, l.msg)
+                answers = [m] if lts.enabled(Y, m, resp) else []
+                miss = None if answers else relations._measure_note(Y, m, resp)
+            after = lts.derivative(X, l, chal) if answers else None
+            rs = []
+            for m in answers:
+                succs = [(l.msg[1], m.msg[1])] if is_chan else []
+                succs.append((after, lts.derivative(Y, m, resp)))
+                rs.append(_Response(m, [p[::-1] if c else p for p in succs]))
+            chs.append(_Challenge(clause, l, rs, None if rs else miss))
+    if reach and any(l.is_first_order for l in lts.enumerate_labels(S, "out", "must")):
+        for tau in relations._must_reachable_outputs(T):
+            if not lts.enabled(S, tau, "must"):
+                chs.append(_Challenge(
+                    "must-output-reachability", tau, [],
+                    "supertype reaches this output over must inputs; "
+                    "candidate cannot emit it now"))
+    pol_ok = S.is_positive() or T.is_positive() == (game == "compose")
+    return pol_ok, chs
+
+
+@given(st.integers(0, 10**9), st.booleans(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_expand_matches_dataclass_reference(seed, higher_order, mutant):
+    rng = random.Random(seed)
+    S = randgen.random_tractable(rng, 6, higher_order=higher_order)
+    T = (randgen.mutate(rng, S) if mutant
+         else randgen.random_tractable(rng, 6, higher_order=higher_order))
+    # also the reflexive and the dual pair, whose games run longer
+    for kind, root in itertools.product(relations.KINDS, ((S, T), (S, S), (ty.dual(S), S))):
+        queue, seen = [root], {root}
+        for pair in queue:  # grows, up to 12 pairs, as the game reaches them
+            pol_ok, chs = relations._expand(kind, *pair)
+            ref_ok, ref = _dataclass_expand(kind, *pair)
+            assert pol_ok == ref_ok
+            assert [(clause, label, [(m, list(succs)) for m, succs in responses], note)
+                    for clause, label, responses, note in chs] == \
+                [(ch.clause, ch.label, [(r.label, r.succs) for r in ch.responses], ch.note)
+                 for ch in ref], kind
+            for _, _, responses, _ in chs:
+                for _, succs in responses:
+                    for p in succs:
+                        if p not in seen and len(queue) < 12:
+                            seen.add(p)
+                            queue.append(p)

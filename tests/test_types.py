@@ -259,6 +259,26 @@ def test_fair_termination_matches_forward_search(raw):
     assert all(t.nodes[n] in (("plus", ()), ("with", ())) for n in detail["degenerate"])
 
 
+@given(st.one_of(raw_tables(), deep_tables(max_nodes=30)))
+@settings(max_examples=100, deadline=None)
+def test_root_facts_match_fresh_computation(raw):
+    t = ty.Type(raw)
+    subs = [t.at(i) for i in range(t.size())]
+
+    def facts(u):
+        return ty.render_inline(u), ty.is_fairly_terminating(u), ty.is_first_order(u)
+
+    warm = [facts(u) for u in subs]
+    assert all({"inline", "fair", "first_order"} <= u.memo.keys() for u in subs)
+    assert [facts(u) for u in subs] == warm  # read back from the memos
+    for n in t.key().reach():
+        n.memo.clear()  # each fact computed with nothing memoized
+    assert [facts(u) for u in reversed(subs)] == warm[::-1]
+    assert [ty.is_fairly_terminating(u, {}) for u in subs] == [f[1] for f in warm]
+    assert warm[0][1] == fairly_terminating_raw(raw)
+    assert warm[0][2] == all(b[0] not in ("times", "par") for b in t.nodes)
+
+
 @given(types_st)
 @settings(max_examples=60, deadline=None)
 def test_render_round_trip(t):
@@ -353,6 +373,8 @@ def test_intern_map_keeps_nothing_alive():
         assert d == t and d.memo is t.memo  # a cycle: t's memo holds d, d holds t
         e = lts.derivative(t, lts.tag("in", "c"), "full")  # a stepped copy of the loop
         assert e != t and ty.dual(e) != e
+        for x in (t, e, ty.dual(e)):  # fill the per-node facts too
+            ty.render_inline(x), ty.is_fairly_terminating(x), ty.is_first_order(x)
         return [weakref.ref(n) for x in (t, e, ty.dual(e)) for n in x.key().reach()]
 
     gc.collect()
