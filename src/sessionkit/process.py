@@ -155,36 +155,35 @@ def rename(p, sub: dict, fresh=None):
     left side, then the continuation or right side) and its scope is renamed
     in the same walk, so the result never captures.
     """
-    if not sub and fresh is None:
+    cls, get = type(p), sub.get
+    if cls is Done or not sub and fresh is None:
         return p
-    r = lambda q: rename(q, sub, fresh)
-    s = lambda n: sub.get(n, n)
-    if isinstance(p, Done):
-        return p
-    if isinstance(p, Link):
-        return Link(s(p.x), s(p.y))
-    if isinstance(p, Close):
-        return Close(s(p.x))
-    if isinstance(p, Wait):
-        return Wait(s(p.x), r(p.cont))
-    if isinstance(p, Select):
-        return Select(s(p.x), p.tag, r(p.cont))
-    if isinstance(p, Case):
-        return Case(s(p.x), tuple((t, r(q)) for t, q in p.branches))
-    if isinstance(p, Fork):
+    if cls is Select:
+        return Select(get(p.x, p.x), p.tag, rename(p.cont, sub, fresh))
+    if cls is Case:
+        return Case(get(p.x, p.x), tuple([(t, rename(q, sub, fresh))
+                                           for t, q in p.branches]))
+    if cls is Call:
+        return Call(p.name, tuple([get(a, a) for a in p.args]))
+    if cls is Wait:
+        return Wait(get(p.x, p.x), rename(p.cont, sub, fresh))
+    if cls is Close:
+        return Close(get(p.x, p.x))
+    if cls is Link:
+        return Link(get(p.x, p.x), get(p.y, p.y))
+    if cls is Choice:
+        return Choice(rename(p.left, sub, fresh), rename(p.right, sub, fresh))
+    if cls is Fork:
         inner, y = _bind(sub, p.y, fresh)
-        return Fork(s(p.x), y, rename(p.payload, inner, fresh), r(p.cont))
-    if isinstance(p, Join):
+        return Fork(get(p.x, p.x), y, rename(p.payload, inner, fresh),
+                    rename(p.cont, sub, fresh))
+    if cls is Join:
         inner, y = _bind(sub, p.y, fresh)
-        return Join(s(p.x), y, rename(p.cont, inner, fresh))
-    if isinstance(p, Choice):
-        return Choice(r(p.left), r(p.right))
-    if isinstance(p, Cut):
+        return Join(get(p.x, p.x), y, rename(p.cont, inner, fresh))
+    if cls is Cut:
         inner, x = _bind(sub, p.x, fresh)
         return Cut(x, p.left_type, p.right_type, rename(p.left, inner, fresh),
                    rename(p.right, inner, fresh), p.cut_id)
-    if isinstance(p, Call):
-        return Call(p.name, tuple(s(a) for a in p.args))
     raise ProcessError(f"not a term: {p!r}")
 
 

@@ -13,6 +13,13 @@ fresh in two places: when ``normalize`` unfolds a definition, ``process.rename``
 gives every binder of the copied body a fresh name while it substitutes the
 arguments; and ``to_configuration_raw`` freshens each fork and cut binder that
 it strips into a pending item or a cut node.
+
+A step costs what it touches.  ``enabled_redexes`` files each leaf once, by
+channel, as a sender (its first pending item on it) and as a receiver (its
+guard reads it), so a cut reads only its own channel's leaves.  ``normalize``
+keeps every subtree in which nothing changed.  A body that binds nothing draws
+no fresh name, so its unfolding depends only on the call's name and arguments:
+the run's ``_Fresh`` builds it once.  No walk recurses.
 """
 
 from __future__ import annotations
@@ -56,21 +63,78 @@ class CutNode:
     left: object
     right: object
 
+    def __hash__(self):
+        # kept on the node, and settled bottom-up by a loop: no recursion
+        todo = [self]
+        while not hasattr(self, "_hash"):
+            c = todo[-1]
+            kids = [k for k in (c.left, c.right)
+                    if type(k) is CutNode and not hasattr(k, "_hash")]
+            if kids:
+                todo += kids
+            else:
+                object.__setattr__(todo.pop(), "_hash", hash((c.chan, c.left, c.right)))
+        return self._hash
+
+    def __eq__(self, other):
+        # a loop over both trees, like the hash; shared subtrees are skipped, and
+        # the kept hashes refuse most unequal pairs early
+        if type(other) is not CutNode:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if type(a) is not CutNode or type(b) is not CutNode:
+                if a != b:
+                    return False
+            elif a is not b:
+                if a.chan != b.chan or hash(a) != hash(b):
+                    return False
+                todo += ((a.right, b.right), (a.left, b.left))
+        return True
+
 
 def config_free_names(c) -> frozenset:
-    if isinstance(c, Thread):
-        names = pr.free_names(c.guard)
-        for i in c.pending:
-            names |= {i.chan}
-            if isinstance(i, ChanOut):
-                names |= config_free_names(i.payload) - {i.bound}
-        return names
-    return (config_free_names(c.left) | config_free_names(c.right)) - {c.chan}
+    out, todo = [], [c]
+    while todo:
+        c = todo.pop()
+        if type(c) is CutNode:
+            todo += (c.chan, c.right, c.left)
+        elif type(c) is Thread:
+            out.append(pr.free_names(c.guard).union(
+                {i.chan for i in c.pending},
+                *(config_free_names(i.payload) - {i.bound}
+                  for i in c.pending if isinstance(i, ChanOut))))
+        else:  # the channel of a cut, once both of its sides are on `out`
+            out[-2:] = [(out[-2] | out[-1]) - {c}]
+    return out[0]
+
+
+def _rebuild(c, arg, visit):
+    """Map ``visit(node, arg)`` over the tree ``c`` in a loop: a finished subtree, or
+    ``(cut, left_arg, right_arg)`` to go into both sides, left first.  Keeps unchanged cuts."""
+    out, todo = [], [(c, arg)]
+    while todo:
+        c, arg = todo.pop()
+        if arg is None:  # a cut whose two sides are done
+            right, left = out.pop(), out.pop()
+            out.append(c if left is c.left and right is c.right
+                       else CutNode(c.chan, left, right))
+            continue
+        c = visit(c, arg)
+        if type(c) is tuple:
+            todo += ((c[0], None), (c[0].right, c[2]), (c[0].left, c[1]))
+        else:
+            out.append(c)
+    return out[0]
 
 
 class _Fresh:
+    """A run's fresh-name counter, and its memo of binder-free unfoldings."""
+
     def __init__(self):
         self.n = 0
+        self.unfoldings = {}
 
     def __call__(self, base):
         self.n += 1
@@ -95,10 +159,14 @@ def push_items(c, items):
     Items come ordered oldest-first and end up *in front of* existing pending
     items, which were produced later by the continuation.
     """
-    if not items:
-        return c
-    if isinstance(c, Thread):
-        return Thread(tuple(items) + c.pending, c.guard)
+    if type(c) is Thread:
+        return Thread(tuple(items) + c.pending, c.guard) if items else c
+    return _rebuild(c, items, _push) if items else c
+
+
+def _push(c, items):
+    if type(c) is Thread or not items:
+        return push_items(c, items)
     left_names = config_free_names(c.left)
     right_names = config_free_names(c.right)
     lt, rt, park = [], [], []
@@ -110,30 +178,42 @@ def push_items(c, items):
             rt.append(i)
         else:
             park.append(i)  # orphan (or ambiguous): keep left, order preserved
-    node = CutNode(c.chan,
-                   push_items(c.left, lt + park) if (lt or park) else c.left,
-                   push_items(c.right, rt) if rt else c.right)
-    return node
+    return c, lt + park, rt
 
 
 def normalize(c, defs, fresh):
     """Unfold invocations at guard position and re-split exposed prefixes.
 
     A thread loops until its guard is neither a call nor a prefix that
-    ``to_configuration_raw`` strips; only the two sides of a cut recurse.
-    """
-    while isinstance(c, Thread) and isinstance(c.guard, (Call, Select, Fork, Cut)):
+    ``to_configuration_raw`` strips, then each side of a cut, left first.
+    A subtree in which nothing changed comes back as the same object."""
+    return _rebuild(c, (defs, fresh), _normalize)
+
+
+def _normalize(c, ctx):
+    defs, fresh = ctx
+    while type(c) is Thread and type(c.guard) in (Call, Select, Fork, Cut):
         guard = c.guard
-        if isinstance(guard, Call):
-            if guard.name not in defs:
-                raise ProcessError(f"call to unknown definition {guard.name!r}")
-            params, body = defs[guard.name]
-            guard = pr.rename(body, dict(zip(params, guard.args)), fresh)
-        c = push_items(to_configuration_raw(guard, fresh), list(c.pending))
-    if isinstance(c, CutNode):
-        return CutNode(c.chan, normalize(c.left, defs, fresh),
-                       normalize(c.right, defs, fresh))
-    return c
+        raw = (_unfold(guard, defs, fresh) if type(guard) is Call
+               else to_configuration_raw(guard, fresh))
+        c = push_items(raw, c.pending)
+    return (c, ctx, ctx) if type(c) is CutNode else c
+
+
+def _unfold(call, defs, fresh):
+    """A call's body as a configuration, built once per run when it binds nothing."""
+    d = defs.get(call.name)
+    if d is None:
+        raise ProcessError(f"call to unknown definition {call.name!r}")
+    key = call.name, call.args
+    hit = fresh.unfoldings.get(key)
+    if hit is not None and hit[0] is d:
+        return hit[1]
+    n = fresh.n
+    raw = to_configuration_raw(pr.rename(d[1], dict(zip(d[0], call.args)), fresh), fresh)
+    if fresh.n == n:  # nothing bound, so the same every time
+        fresh.unfoldings[key] = d, raw
+    return raw
 
 
 def to_configuration_raw(term, fresh):
@@ -166,17 +246,18 @@ def to_configuration_raw(term, fresh):
 
 
 def rename_config(c, old, new):
-    if isinstance(c, Thread):
+    return _rebuild(c, {old: new}, _rename_config)
+
+
+def _rename_config(c, sub):
+    if type(c) is Thread:
         items = tuple(
-            TagOut(new if i.chan == old else i.chan, i.tag) if isinstance(i, TagOut)
-            else ChanOut(new if i.chan == old else i.chan, i.bound,
-                         rename_config(i.payload, old, new))
+            TagOut(sub.get(i.chan, i.chan), i.tag) if isinstance(i, TagOut)
+            else ChanOut(sub.get(i.chan, i.chan), i.bound,
+                         _rebuild(i.payload, sub, _rename_config))
             for i in c.pending)
-        return Thread(items, pr.rename(c.guard, {old: new}))
-    if c.chan == old:
-        return c
-    return CutNode(c.chan, rename_config(c.left, old, new),
-                   rename_config(c.right, old, new))
+        return Thread(items, pr.rename(c.guard, sub))
+    return c if c.chan in sub else (c, sub, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -202,19 +283,14 @@ def _subtree(c, path):
 
 
 def _replace(c, path, new):
-    if not path:
-        return new
-    if path[0] == "l":
-        return CutNode(c.chan, _replace(c.left, path[1:], new), c.right)
-    return CutNode(c.chan, c.left, _replace(c.right, path[1:], new))
-
-
-def _leaf_threads(c, path=()):
-    if isinstance(c, Thread):
-        yield path, c
-    else:
-        yield from _leaf_threads(c.left, path + ("l",))
-        yield from _leaf_threads(c.right, path + ("r",))
+    spine = []
+    for step in path:
+        spine.append(c)
+        c = c.left if step == "l" else c.right
+    for step in reversed(path):
+        c = spine.pop()
+        new = CutNode(c.chan, new, c.right) if step == "l" else CutNode(c.chan, c.left, new)
+    return new
 
 
 def _first_item_on(thread: Thread, chan: str):
@@ -225,50 +301,70 @@ def _first_item_on(thread: Thread, chan: str):
 
 
 def enabled_redexes(c) -> list:
-    out = []
-    for path, th in _leaf_threads(c):
-        if isinstance(th.guard, Choice):
-            out.append(Redex("choice", path, None, ("left",)))
-            out.append(Redex("choice", path, None, ("right",)))
+    """The choices, leaf by leaf from the left, then each cut's communications,
+    cut by cut in pre-order.  Paths stay links ``(parent, step)`` until a redex
+    spells one out, so a deep tree costs no quadratic work."""
+    out, cuts, senders, receivers, ends = [], [], {}, {}, set()
+    todo = [(c, None)]
+    while todo:
+        c, link = todo.pop()
+        if type(c) is CutNode:
+            cuts.append((c, link))
+            todo += ((c.right, (link, "r")), (c.left, (link, "l")))
+            continue
+        g, firsts = c.guard, {}
+        if type(g) is Choice:
+            out += [Redex("choice", _steps(link), None, (b,)) for b in ("left", "right")]
+        elif type(g) in (Case, Join, Wait):
+            receivers.setdefault(g.x, []).append((link, c))
+        elif type(g) in (Close, Link):  # the channels a close or a link could end
+            ends.update((g.x, getattr(g, "y", g.x)))
+        for i in c.pending:
+            if i.chan not in firsts:
+                firsts[i.chan] = i
+                senders.setdefault(i.chan, []).append((link, i))
 
-    def visit(node, path):
-        if isinstance(node, Thread):
-            return
-        x = node.chan
-        sides = (("l", node.left, node.right), ("r", node.right, node.left))
-        for side, mine, other in sides:
-            # sender candidates: leaf threads in `mine` whose first x-item leads
-            for spath, sth in _leaf_threads(mine, ()):
-                idx, item = _first_item_on(sth, x)
-                if item is None:
+    for node, link in cuts:
+        x, path, comms = node.chan, None, {"l": [], "r": []}
+        if x not in senders and x not in ends:
+            continue
+        recvs = [(q[1:] if q[0] is link else _steps(q, link), th)
+                 for q, th in receivers.get(x, ())]
+        for q, item in senders.get(x, ()) if recvs else ():
+            # each sender meets each receiver on the other side
+            p = q[1:] if q[0] is link else _steps(q, link)
+            for r, th in recvs if p else ():
+                g = th.guard
+                if not r or r[0] == p[0]:
                     continue
-                for rpath, rth in _leaf_threads(other, ()):
-                    g = rth.guard
-                    if isinstance(item, TagOut) and isinstance(g, Case) and g.x == x:
-                        if item.tag in dict(g.branches):
-                            out.append(Redex("select", path, x,
-                                             (side, spath, rpath, item.tag)))
-                    elif isinstance(item, ChanOut) and isinstance(g, Join) and g.x == x:
-                        out.append(Redex("fork", path, x, (side, spath, rpath)))
-            # close: the whole side must be a single thread with guard close x
-            # and nothing pending at all (messages must be consumed first)
-            if isinstance(mine, Thread) and isinstance(mine.guard, Close) \
-                    and mine.guard.x == x and not mine.pending:
-                for rpath, rth in _leaf_threads(other, ()):
-                    g = rth.guard
-                    if isinstance(g, Wait) and g.x == x \
-                            and _first_item_on(rth, x)[1] is None:
-                        out.append(Redex("close", path, x, (side, rpath)))
-            # link: single thread guarded by link mentioning x, no x-items pending
-            if isinstance(mine, Thread) and isinstance(mine.guard, Link) \
-                    and x in (mine.guard.x, mine.guard.y) \
-                    and _first_item_on(mine, x)[1] is None:
-                out.append(Redex("link", path, x, (side,)))
-        visit(node.left, path + ("l",))
-        visit(node.right, path + ("r",))
-
-    visit(c, ())
+                if type(item) is TagOut and type(g) is Case and item.tag in dict(g.branches):
+                    path = path or _steps(link)
+                    comms[p[0]].append(Redex("select", path, x, (p[0], p[1:], r[1:], item.tag)))
+                elif type(item) is ChanOut and type(g) is Join:
+                    path = path or _steps(link)
+                    comms[p[0]].append(Redex("fork", path, x, (p[0], p[1:], r[1:])))
+        for side, mine in (("l", node.left), ("r", node.right)):
+            out += comms[side]
+            g = mine.guard if type(mine) is Thread else None
+            # close: this whole side is one thread closing x with nothing pending
+            # at all (messages must be consumed first), and the peer waits
+            if type(g) is Close and g.x == x and not mine.pending:
+                out += [Redex("close", _steps(link), x, (side, r[1:])) for r, th in recvs
+                        if r and r[0] != side and type(th.guard) is Wait
+                        and _first_item_on(th, x)[1] is None]
+            # link: one thread guarded by a link mentioning x, no x-items pending
+            elif type(g) is Link and x in (g.x, g.y) and _first_item_on(mine, x)[1] is None:
+                out.append(Redex("link", _steps(link), x, (side,)))
     return out
+
+
+def _steps(link, top=None):
+    """The path from the cut at link ``top`` (the root) down to ``link``, or None."""
+    steps = []
+    while link is not top and link is not None:
+        link, step = link
+        steps.append(step)
+    return tuple(reversed(steps)) if link is top else None
 
 
 def step(c, r: Redex, fresh: _Fresh):

@@ -457,3 +457,19 @@ def test_cli_survives_random_text(src, name):
                     contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main(argv)
             assert code in (0, 1, 2, 3), argv
+
+
+def test_deep_cut_chain_runs_and_probes(capsys, tmp_path):
+    # 1500 definitions, each opening a cut around the next one's call: the
+    # configuration is a tree of cuts 1500 deep before the first step
+    n = 1500
+    chain = tmp_path / "cuts.cap"
+    chain.write_text("".join(f"def A{i}(u) = new z : end! >< end? {{ A{i + 1}(z) || "
+                             f"wait z . close u }}\n" for i in range(n))
+                     + f"def A{n}(u) = close u\n"
+                     + "new u : end! >< end? { A0(u) || wait u . done }\n")
+    assert cli.main(["run", str(chain), "--max-steps", "2000"]) == 0
+    assert cli.main(["probe", str(chain), "--budget", "2000"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [f"DoneReached after {n + 1} steps", "done is reachable"]
+    assert "Traceback" not in out + err
