@@ -1,8 +1,9 @@
 """Labelled transitions for session type automata.
 
 A label is an input or output of either the termination signal ``*``, a tag
-(with its measure), or a channel carrying a payload type.  Transitions come
-in three modes:
+(with its measure), or a channel carrying a payload type.  Labels are
+interned as types are, so every memo keyed by a label hashes and compares
+an identity.  Transitions come in three modes:
 
 - ``must``: the axioms only — the constructor at the root fires directly.
 - ``ind``:  least fixed point of the axioms plus the buffering rules that
@@ -35,17 +36,44 @@ returns the tuple it memoizes per (direction, mode).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import heapq
+import weakref
 
 from . import types as ty
 from .types import Type
 
 
-@dataclass(frozen=True)
+_LABELS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # key -> label
+
+
 class Label:
-    direction: str  # "in" | "out"
-    msg: tuple  # ("star",) | ("tag", name, measure) | ("chan", Type)
+    """An action: ``direction`` "in" | "out" and ``msg``, one of ``("star",)``,
+    ``("tag", name, measure)`` and ``("chan", Type)``.
+
+    ``Label(direction, msg)`` returns the one live label for that direction
+    and message, so ``==`` and ``hash`` are identity, also where a label is
+    part of a node memo key.  A channel label is keyed by its payload's store
+    node, by serial, so the weakly held table keeps no node alive.
+    ``flip()`` memoizes the label of the same message, other direction.
+    """
+
+    __slots__ = ("direction", "msg", "_flip", "__weakref__")
+
+    def __new__(cls, direction: str, msg: tuple):
+        k = (direction, "chan", msg[1].node.serial) if msg[0] == "chan" else (direction, *msg)
+        l = _LABELS.get(k)
+        if l is None:
+            l = _LABELS[k] = object.__new__(cls)
+            l.direction, l.msg, l._flip = direction, msg, None
+        return l
+
+    def flip(self) -> "Label":
+        if self._flip is None:
+            self._flip = Label("out" if self.direction == "in" else "in", self.msg)
+        return self._flip
+
+    def __repr__(self):
+        return f"Label({self.direction!r}, {self.msg!r})"
 
     def __str__(self):
         arrow = "?" if self.direction == "in" else "!"

@@ -119,18 +119,23 @@ def queue_echo_type(m: QueueMachine) -> Type:
 
 def queue_type(m: QueueMachine, contents: str) -> Type:
     """Queue with the given contents: emit them front-first, then echo."""
-    return _queue(queue_echo_type(m), contents)
+    return _queue({"": queue_echo_type(m).node}, contents)
 
 
-def _queue(echo: Type, contents: str) -> Type:
-    """``contents`` emitted front-first, ending in the echo's store node."""
-    if not contents:
-        return echo
-    nodes, root = {}, echo.node
-    for nid, a in enumerate(reversed(contents)):
-        nodes[nid] = ("plus", ((a, 0, root),))
-        root = nid
-    return Type(nodes, root)
+def _queue(built: dict, contents: str) -> Type:
+    """``contents`` emitted front-first: one store node per symbol, over its tail's.
+
+    ``built`` maps queue contents to their store nodes, the empty queue to
+    the echo loop's; the nodes ``contents`` lacks are interned from the
+    longest tail already built, and added to it.
+    """
+    i = 0
+    while contents[i:] not in built:
+        i += 1
+    node = built[contents[i:]]
+    for j in reversed(range(i)):
+        node = built[contents[j:]] = ty._intern({0: ("plus", ((contents[j], 0, node),))}, [0])[0]
+    return Type._of(node)
 
 
 def control_type(m: QueueMachine, state: str | None = None) -> Type:
@@ -176,28 +181,23 @@ def step_correspondence(m: QueueMachine, word: str, max_steps: int = 200) -> dic
     """
     from . import lts
 
-    # a step starts from the encodings the previous step ended on, so each
-    # queue is built, and settled on its first ``equiv``, once per call, over
-    # one echo loop; the control table is interned once for every state
-    echo, controls, queues = queue_echo_type(m), _controls(m), {}
-
-    def queue_of(contents):
-        if contents not in queues:
-            queues[contents] = _queue(echo, contents)
-        return queues[contents]
+    # encodings are store nodes, so they are equal exactly when they are the
+    # same node; each queue is interned once per call, over the queues built
+    # before it and one echo loop, and the control table once for every state
+    built, controls = {"": queue_echo_type(m).node}, _controls(m)
 
     sim = simulate(m, word, max_steps)
     checks = []
     for (q, queue), (q2, queue2) in zip(sim.history, sim.history[1:]):
         a = queue[0]
         _, suffix = m.delta[(q, a)]
-        qt, ct = queue_of(queue), controls[q]
+        qt, ct = _queue(built, queue), controls[q]
         ok = True
         out = lts.derivative(qt, lts.tag("out", a), "must")
         inp = lts.derivative(ct, lts.tag("in", a), "must")
         ok = ok and out is not None and inp is not None
         if ok:
-            ok = ty.equiv(out, queue_of(queue[1:]))
+            ok = out == _queue(built, queue[1:])
         qcur = out
         ccur = inp
         rest = queue[1:]
@@ -209,11 +209,10 @@ def step_correspondence(m: QueueMachine, word: str, max_steps: int = 200) -> dic
             ok = ok and emit is not None and took is not None
             if ok:
                 rest = rest + c
-                ok = ty.equiv(took, queue_of(rest))
+                ok = took == _queue(built, rest)
                 qcur, ccur = took, emit
         if ok:
-            ok = ty.equiv(qcur, queue_of(queue2)) and \
-                ty.equiv(ccur, controls[q2])
+            ok = qcur == _queue(built, queue2) and ccur == controls[q2]
         checks.append(ok)
     return {"sim": sim, "steps_ok": checks, "all_ok": all(checks)}
 

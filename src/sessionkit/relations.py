@@ -160,7 +160,7 @@ def _expand(kind: str, S: Type, T: Type):
             if l.is_first_order == is_chan:
                 continue  # the game's other clause plays this label
             if not is_chan:  # Y answers with the same message, or cannot
-                m = l if cd == rd else lts.Label(rd, l.msg)
+                m = l if cd == rd else l.flip()
                 y = lts.derivative(Y, m, resp)
                 if y is None:
                     chs.append((clause, l, (), _measure_note(Y, m, resp)))
@@ -209,9 +209,8 @@ def check(S: Type, T: Type, kind: str, budget: Budget | None = None) -> Verdict:
             if not ty.is_fairly_terminating(t):
                 warnings.append(f"{side} input is not fairly terminating")
 
-    root = (S, T)
-    ids = {root: 0}  # pair -> number, in discovery order
-    order = [root]
+    ids = {(S.node, T.node): 0}  # pair of root nodes -> number, in discovery order
+    order = [(S, T)]
     users = [[]]  # number -> numbers of the pairs whose responses reach it
     nodes = []  # number -> (pol_ok, challenges, successor numbers per response) | None
     for i, key in enumerate(order):  # grows as successors are discovered
@@ -226,7 +225,7 @@ def check(S: Type, T: Type, kind: str, budget: Budget | None = None) -> Verdict:
             for _, pairs in responses:
                 js = []
                 for p in pairs:
-                    j = ids.setdefault(p, len(order))
+                    j = ids.setdefault((p[0].node, p[1].node), len(order))
                     if j == len(order):
                         order.append(p)
                         users.append([])

@@ -40,3 +40,19 @@ def test_benchmark_hooks_resolve():
         for part in path.split("."):
             target = getattr(target, part)
         assert callable(target), (mod, path)
+
+
+def test_equiv_runs_only_as_the_oracle():
+    # equality of types is identity on the store; ``types.equiv`` is only the
+    # independent check, and in the program only ``lts.fas_oracle`` reads it
+    calls = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "equiv" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    calls.append((os.path.basename(path), getattr(top, "name", None),
+                                  node.lineno))
+    assert calls and all(c[:2] == ("lts.py", "fas_oracle") for c in calls), calls

@@ -107,6 +107,25 @@ def test_label_parse_and_render():
             lts.parse_label(text)
 
 
+def test_labels_are_interned():
+    assert lts.tag("in", "a") is lts.Label("in", ("tag", "a", 0))
+    assert lts.tag("in", "a") is not lts.tag("out", "a") != lts.tag("in", "a", 1)
+    # two handles, built apart, of one payload: a loop and its unrolling
+    src = "type P = +{ a: P, b: end! }  type Q = +{ a: +{ a: Q, b: end! }, b: end! }"
+    p, q = ty.parse_type(src, "P"), ty.parse_type(src, "Q")
+    assert p is not q and p == q
+    l = lts.chan("in", p)
+    assert lts.chan("in", q) is l and lts.Label("in", ("chan", q)) is l
+    assert lts.parse_label("?(Q)", ty.parse_decls(src)) is l
+    assert lts.parse_label("?(+{ a: P, b: end! })", ty.parse_decls(src)) is l
+    assert l.flip() is lts.chan("out", q) and l.flip().flip() is l
+    assert l.key() == ("in", "chan", p) and str(l) == "?(+{a: %0, b: end!})"
+    for text, key in (("?a", ("in", "tag", "a", 0)), ("!b@2", ("out", "tag", "b", 2)),
+                      ("!*", ("out", "star"))):
+        assert lts.parse_label(text).key() == key and str(lts.parse_label(text)) == text
+        assert lts.parse_label(text) is lts.Label(key[0], key[1:])
+
+
 @given(types_st)
 @settings(max_examples=60, deadline=None)
 def test_mode_monotonicity(t):

@@ -375,13 +375,23 @@ def test_intern_map_keeps_nothing_alive():
         assert e != t and ty.dual(e) != e
         for x in (t, e, ty.dual(e)):  # fill the per-node facts too
             ty.render_inline(x), ty.is_fairly_terminating(x), ty.is_first_order(x)
-        return [weakref.ref(n) for x in (t, e, ty.dual(e)) for n in x.key().reach()]
+        # channel labels over these payloads and their flips, each label also
+        # a memo key on the node it is asked of
+        labels = [lts.chan(d, x) for x in (t, e, ty.dual(e)) for d in ("in", "out")]
+        labels += [l.flip() for l in labels]
+        for l in labels:
+            lts.enabled(t, l), lts.derivative(e, l)
+        keys = [(l.direction, "chan", l.msg[1].node.serial) for l in labels]
+        assert all(lts._LABELS[k] is l for k, l in zip(keys, labels))
+        return [weakref.ref(n) for x in (t, e, ty.dual(e)) for n in x.key().reach()] + \
+            [weakref.ref(l) for l in labels], keys
 
     gc.collect()
-    before = len(ty._STORE)
-    refs = build()
+    before, labels_before = len(ty._STORE), len(lts._LABELS)
+    refs, keys = build()
     gc.collect()
     assert len(ty._STORE) <= before and all(r() is None for r in refs)
+    assert len(lts._LABELS) <= labels_before and not any(k in lts._LABELS for k in keys)
 
 
 def test_cycle_bisimilar_to_a_node_it_reaches():
