@@ -4,20 +4,25 @@ Measures bound the number of "credits" a process needs to finish its work:
 outputs are charged to the sender (1 per close/select/fork plus the tag's
 annotation), receivers discharge tag annotations, and a choice costs one
 credit plus the cheaper branch.  Definition measures are the least solution
-of the resulting equation system, found by Kleene iteration from zero;
-values exceeding the cap (2**20) diverge to Infinity, as do definitions
-still changing after the round limit.
+of the resulting equation system, found by chaotic iteration from zero
+(Bourdoncle, FMPA 1993): rounds evaluate the definitions callee first, in one
+depth-first post-order of the call graph, and update each value in place, so
+a definition outside a call cycle settles in one evaluation.  Values
+exceeding the cap (2**20) diverge to Infinity.  What still changed in the
+last of ROUND_LIMIT + 1 rounds is widened to Infinity and the rest are solved
+again with it pinned: no value is below the least fixed point, and each
+equals it wherever plain Kleene rounds converge within the limit.
 
 One walk over each definition does both jobs.  It checks the term against
 the declared signature, enforcing linearity (every channel consumed exactly
-once, ``done`` in an empty context, ``close x`` in exactly {x: end!}), and
-returns the term's measure as a function of the definition measures, which
-the Kleene iteration then evaluates without walking the term again.  A
-definition that fails to check has no measure.  Side conditions are recorded
-as obligations for the relation checker: a cut needs its two annotations to
-compose, a link ``link x y`` at {x: S, y: T} needs dual(S) <= T.
-``typecheck`` decides them after the walk; obligations listed in
-``assume_cuts`` are taken on trust and reported as Assumed.
+once, ``done`` in an empty context, ``close x`` in exactly {x: end!}), lists
+the definitions it calls, and returns the term's measure as a function of
+the definition measures, which the iteration then evaluates without walking
+the term again.  A definition that fails to check has no measure.  Side
+conditions are recorded as obligations for the relation checker: a cut needs
+its two annotations to compose, a link ``link x y`` at {x: S, y: T} needs
+dual(S) <= T.  ``typecheck`` decides them after the walk; obligations listed
+in ``assume_cuts`` are taken on trust and reported as Assumed.
 """
 
 from __future__ import annotations
@@ -47,10 +52,11 @@ def _cap(v):
     return INF if v > CAP else v
 
 
-def _walk(prog: pr.Program, term, ctx: dict, where: str, obligations: list):
+def _walk(prog: pr.Program, term, ctx: dict, where: str, obligations: list, calls: list):
     """Check ``term`` in ``ctx`` and return its measure as a function of the
     definition measures.  Side conditions are appended to ``obligations`` as
-    ``(kind, id, left, right, relation)``; failures raise MeasureError."""
+    ``(kind, id, left, right, relation)``, and called definitions to ``calls``;
+    failures raise MeasureError."""
     if isinstance(term, Done):
         if ctx:
             raise MeasureError(f"{where}: done with live channels {sorted(ctx)}")
@@ -65,7 +71,7 @@ def _walk(prog: pr.Program, term, ctx: dict, where: str, obligations: list):
     if isinstance(term, Wait):
         _want(ctx, term.x, "bot", where)
         rest = {k: v for k, v in ctx.items() if k != term.x}
-        return _walk(prog, term.cont, rest, where, obligations)
+        return _walk(prog, term.cont, rest, where, obligations, calls)
     if isinstance(term, Link):
         if set(ctx) != {term.x, term.y} or term.x == term.y:
             raise MeasureError(f"{where}: link {term.x} {term.y} needs exactly "
@@ -78,7 +84,7 @@ def _walk(prog: pr.Program, term, ctx: dict, where: str, obligations: list):
         if term.tag not in bs:
             raise MeasureError(f"{where}: tag {term.tag!r} not in the type of {term.x}")
         m, cont = bs[term.tag]
-        k = _walk(prog, term.cont, {**ctx, term.x: cont}, where, obligations)
+        k = _walk(prog, term.cont, {**ctx, term.x: cont}, where, obligations, calls)
         return lambda mu: _cap(1 + m + k(mu))
     if isinstance(term, Case):
         bs = _branches(_want(ctx, term.x, "with", where))
@@ -89,7 +95,7 @@ def _walk(prog: pr.Program, term, ctx: dict, where: str, obligations: list):
             if tg not in pbs:
                 raise MeasureError(f"{where}: case on {term.x} misses branch {tg!r}")
             arms.append((m, _walk(prog, pbs[tg], {**ctx, term.x: cont}, where,
-                                  obligations)))
+                                  obligations, calls)))
         return lambda mu: _cap(max([0, *(k(mu) - m for m, k in arms)]))
     if isinstance(term, Fork):
         t = _want(ctx, term.x, "times", where)
@@ -99,8 +105,8 @@ def _walk(prog: pr.Program, term, ctx: dict, where: str, obligations: list):
         if need - set(gp):
             raise MeasureError(f"{where}: payload of {term.x}!({term.y}) uses "
                                f"unknown channels {sorted(need - set(gp))}")
-        kp = _walk(prog, term.payload, {**gp, term.y: pay}, where, obligations)
-        kc = _walk(prog, term.cont, {**gq, term.x: cont}, where, obligations)
+        kp = _walk(prog, term.payload, {**gp, term.y: pay}, where, obligations, calls)
+        kc = _walk(prog, term.cont, {**gq, term.x: cont}, where, obligations, calls)
         return lambda mu: _cap(1 + kp(mu) + kc(mu))
     if isinstance(term, Join):
         t = _want(ctx, term.x, "par", where)
@@ -108,10 +114,10 @@ def _walk(prog: pr.Program, term, ctx: dict, where: str, obligations: list):
         if term.y in ctx:
             raise MeasureError(f"{where}: received channel {term.y} shadows a live one")
         return _walk(prog, term.cont, {**ctx, term.x: cont, term.y: pay}, where,
-                     obligations)
+                     obligations, calls)
     if isinstance(term, Choice):
-        kl = _walk(prog, term.left, ctx, where, obligations)
-        kr = _walk(prog, term.right, ctx, where, obligations)
+        kl = _walk(prog, term.left, ctx, where, obligations, calls)
+        kr = _walk(prog, term.right, ctx, where, obligations, calls)
         return lambda mu: _cap(1 + min(kl(mu), kr(mu)))
     if isinstance(term, Cut):
         need = pr.free_names(term.left) - {term.x}
@@ -121,8 +127,8 @@ def _walk(prog: pr.Program, term, ctx: dict, where: str, obligations: list):
                                f"{sorted(need - set(gl))}")
         obligations.append(("cut", term.cut_id, term.left_type, term.right_type,
                             "compose"))
-        kl = _walk(prog, term.left, {**gl, term.x: term.left_type}, where, obligations)
-        kr = _walk(prog, term.right, {**gr, term.x: term.right_type}, where, obligations)
+        kl = _walk(prog, term.left, {**gl, term.x: term.left_type}, where, obligations, calls)
+        kr = _walk(prog, term.right, {**gr, term.x: term.right_type}, where, obligations, calls)
         return lambda mu: _cap(kl(mu) + kr(mu))
     if isinstance(term, Call):
         sig = prog.sigs.get(term.name)
@@ -138,6 +144,7 @@ def _walk(prog: pr.Program, term, ctx: dict, where: str, obligations: list):
                 raise MeasureError(f"{where}: channel {a} has the wrong type "
                                    f"for parameter {p} of {term.name}")
         name = term.name
+        calls.append(name)
         return lambda mu: mu.get(name, 0)
     raise MeasureError(f"{where}: not a term: {term!r}")
 
@@ -158,7 +165,7 @@ def _split(ctx, drop, left_names):
     return gl, gr
 
 
-def _walk_def(prog: pr.Program, name: str, obligations: list):
+def _walk_def(prog: pr.Program, name: str, obligations: list, calls: list):
     params, body = prog.defs[name]
     sig = prog.sigs.get(name)
     if sig is None:
@@ -166,25 +173,44 @@ def _walk_def(prog: pr.Program, name: str, obligations: list):
     if len(sig) != len(params):
         raise MeasureError(f"def {name}: signature arity mismatch")
     ctx = dict(zip(params, (t for _, t in sig)))
-    return _walk(prog, body, ctx, f"def {name}", obligations)
+    return _walk(prog, body, ctx, f"def {name}", obligations, calls)
 
 
-def _solve(equations: dict) -> dict:
-    """Least fixed point of ``name -> measure function`` by Kleene iteration."""
-    mu = {name: 0 for name in equations}
-    for _ in range(ROUND_LIMIT + 1):
-        nxt = {name: _cap(k(mu)) for name, k in equations.items()}
-        if nxt == mu:
-            return mu
-        mu = nxt
-    # still changing: the remaining growth is unbounded
-    return {name: (mu[name] if k(mu) == mu[name] else INF)
-            for name, k in equations.items()}
+def _solve(equations: dict, calls: dict) -> dict:
+    """Least fixed point of ``name -> measure function``; ``calls`` maps each name
+    to its callees.  See the module docstring."""
+    order, seen = [], set()
+    for root in equations:  # one iterative DFS post-order over the callees
+        todo = [] if root in seen else [(root, iter(calls[root]))]
+        seen.add(root)
+        while todo:
+            for c in todo[-1][1]:
+                if c not in seen and c in equations:
+                    seen.add(c)
+                    todo.append((c, iter(calls[c])))
+                    break
+            else:
+                order.append(todo.pop()[0])
+    mu = dict.fromkeys(equations, 0)
+    while True:
+        for _ in range(ROUND_LIMIT + 1):
+            changed = []
+            for name in order:
+                v = _cap(equations[name](mu))
+                if v != mu[name]:
+                    mu[name] = v
+                    changed.append(name)
+            if not changed:
+                return mu
+        # still changing: widen to Infinity, then solve the rest with it pinned
+        mu.update(dict.fromkeys(changed, INF))
+        order = [name for name in order if mu[name] != INF]
 
 
 def infer_measures(prog: pr.Program) -> dict:
     """Least fixed point of the definition measure equations."""
-    return _solve({name: _walk_def(prog, name, []) for name in prog.defs})
+    calls = {name: [] for name in prog.defs}
+    return _solve({name: _walk_def(prog, name, [], calls[name]) for name in prog.defs}, calls)
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +236,19 @@ def typecheck(prog: pr.Program, assume_cuts=(), budget=None) -> TypeReport:
     assume_cuts = set(assume_cuts)
     errors = []
     pending = []  # (kind, id, left, right, relation), in walk order
-    equations = {}
+    equations, calls = {}, {name: [] for name in prog.defs}
     for name in prog.defs:
         try:
-            equations[name] = _walk_def(prog, name, pending)
+            equations[name] = _walk_def(prog, name, pending, calls[name])
         except MeasureError as e:
             errors.append(str(e))
     if prog.main is not None:
         try:
-            _walk(prog, prog.main, {}, "main", pending)
+            _walk(prog, prog.main, {}, "main", pending, [])
         except MeasureError as e:
             errors.append(str(e))
 
-    measures = _solve(equations) if len(equations) == len(prog.defs) else {}
+    measures = _solve(equations, calls) if len(equations) == len(prog.defs) else {}
     reasons = [f"def {name}: no finite measure"
                for name, v in measures.items() if v == INF]
     reasons += errors

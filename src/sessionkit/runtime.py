@@ -16,10 +16,17 @@ it strips into a pending item or a cut node.
 
 A step costs what it touches.  ``enabled_redexes`` files each leaf once, by
 channel, as a sender (its first pending item on it) and as a receiver (its
-guard reads it), so a cut reads only its own channel's leaves.  ``normalize``
-keeps every subtree in which nothing changed.  A body that binds nothing draws
-no fresh name, so its unfolding depends only on the call's name and arguments:
-the run's ``_Fresh`` builds it once.  No walk recurses.
+guard reads it), so a cut reads only its own channel's leaves.  ``step``
+normalizes only what it rebuilt, in the order a walk of the whole tree would
+reach it, so fresh names come out the same; ``normalize`` itself keeps every
+subtree in which nothing changed.  A body that binds nothing draws no fresh
+name, so its unfolding depends only on the call's name and arguments: the
+run's ``_Fresh`` builds it once.  No walk recurses.
+
+Configuration records and ``Redex`` are slotted dataclasses, compared and
+hashed by field.  They are not frozen, but nothing assigns to a field after
+construction, since the probe's ``seen`` set hashes them; a ``CutNode`` only
+keeps its hash once computed.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from .process import (Done, Link, Close, Wait, Select, Case, Fork, Join,
                       Choice, Cut, Call, ProcessError)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TagOut:
     chan: str
     tag: str
@@ -41,7 +48,7 @@ class TagOut:
         return f"{self.chan}!{self.tag}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ChanOut:
     chan: str
     bound: str
@@ -51,17 +58,18 @@ class ChanOut:
         return f"{self.chan}!({self.bound}){{…}}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Thread:
     pending: tuple
     guard: object  # term
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class CutNode:
     chan: str
     left: object
     right: object
+    _hash: int = field(init=False, repr=False)
 
     def __hash__(self):
         # kept on the node, and settled bottom-up by a loop: no recursion
@@ -73,7 +81,7 @@ class CutNode:
             if kids:
                 todo += kids
             else:
-                object.__setattr__(todo.pop(), "_hash", hash((c.chan, c.left, c.right)))
+                todo.pop()._hash = hash((c.chan, c.left, c.right))
         return self._hash
 
     def __eq__(self, other):
@@ -264,7 +272,7 @@ def _rename_config(c, sub):
 # redexes
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Redex:
     rule: str  # choice | select | fork | close | link
     path: tuple  # path to the cut (or thread, for choice): "l"/"r" steps
@@ -367,11 +375,14 @@ def _steps(link, top=None):
     return tuple(reversed(steps)) if link is top else None
 
 
-def step(c, r: Redex, fresh: _Fresh):
+def step(c, r: Redex, fresh: _Fresh, defs):
+    """Apply ``r`` to the normal configuration ``c``, and normalize what it rebuilt:
+    the fork payload, then the receiving or choosing thread, in the tree's
+    left-to-right order.  Everything else was normal and stays as it was."""
     if r.rule == "choice":
         th = _subtree(c, r.path)
         branch = th.guard.left if r.detail[0] == "left" else th.guard.right
-        return _replace(c, r.path, Thread(th.pending, branch))
+        return _replace(c, r.path, normalize(Thread(th.pending, branch), defs, fresh))
 
     node = _subtree(c, r.path)
     x = node.chan
@@ -389,20 +400,23 @@ def step(c, r: Redex, fresh: _Fresh):
         if r.rule == "select":
             cont = dict(g.branches)[item.tag]
         else:
+            # the payload becomes the left side of a brand-new cut on the sent
+            # channel, so it is normalized before the receiver
+            payload = normalize(item.payload, defs, fresh)
             cont = pr.rename(g.cont, {g.y: item.bound})
-        other = _replace(other, rpath, Thread(rth.pending, cont))
+        other = _replace(other, rpath, normalize(Thread(rth.pending, cont), defs, fresh))
         left, right = (mine, other) if side == "l" else (other, mine)
         node = CutNode(x, left, right)
         if r.rule == "fork":
-            # the payload becomes one side of a brand-new cut on the sent channel
-            node = CutNode(item.bound, item.payload, node)
+            node = CutNode(item.bound, payload, node)
         return _replace(c, r.path, node)
 
     if r.rule == "close":
         side, rpath = r.detail
         other = node.right if side == "l" else node.left
         rth = _subtree(other, rpath)
-        other = _replace(other, rpath, Thread(rth.pending, rth.guard.cont))
+        other = _replace(other, rpath,
+                         normalize(Thread(rth.pending, rth.guard.cont), defs, fresh))
         return _replace(c, r.path, other)
 
     if r.rule == "link":
@@ -531,8 +545,7 @@ def run(term_or_config, defs=None, scheduler=None, max_steps=1000,
             entry["step"] = n
             entry["scheduler"] = getattr(sched, "name", "?")
             trace.append(entry)
-        c = step(c, r, fresh)
-        c = normalize(c, defs, fresh)
+        c = step(c, r, fresh, defs)
     if is_done(c):
         return RunResult("DoneReached", max_steps, c, trace)
     return RunResult("BudgetExhausted", max_steps, c, trace)
@@ -556,7 +569,7 @@ def is_weakly_terminating_probe(c, defs=None, budget=2000) -> bool | None:
         if is_done(cur):
             return True
         for r in enabled_redexes(cur):
-            nxt = normalize(step(cur, r, fresh), defs, fresh)
+            nxt = step(cur, r, fresh, defs)
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)

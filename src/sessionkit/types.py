@@ -140,7 +140,7 @@ class Type:
         return self.node.memo
 
     def kind(self, nid=0):
-        return self.node.reach()[nid].body[0]
+        return (self.node.reach()[nid] if nid else self.node).body[0]
 
     def body(self, nid=0):
         return self.nodes[nid]

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import glob
 import importlib
 import os
@@ -6,6 +7,7 @@ import runpy
 import sys
 
 import sessionkit
+from sessionkit import runtime
 
 SRC = os.path.dirname(sessionkit.__file__)
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(SRC)), "perfbench")
@@ -56,3 +58,44 @@ def test_equiv_runs_only_as_the_oracle():
                     calls.append((os.path.basename(path), getattr(top, "name", None),
                                   node.lineno))
     assert calls and all(c[:2] == ("lts.py", "fas_oracle") for c in calls), calls
+
+
+def test_runtime_records_are_not_assigned_after_construction():
+    # the records are slotted, not frozen, and the probe's ``seen`` set hashes
+    # them: their fields are set in their constructors and never again; the
+    # hash a cut keeps once it has computed it is the one exception
+    records = (runtime.TagOut, runtime.ChanOut, runtime.Thread, runtime.CutNode,
+               runtime.Redex)
+    fields = {f.name for cls in records for f in dataclasses.fields(cls)} - {"_hash"}
+    assert {"chan", "pending", "guard", "left", "right", "path"} <= fields
+    names = {cls.__name__ for cls in records}
+    bad = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        constructors = {id(f) for c in ast.walk(tree)
+                        if isinstance(c, ast.ClassDef) and c.name in names
+                        for f in c.body if isinstance(f, ast.FunctionDef)
+                        and f.name in ("__init__", "__post_init__")}
+        todo = [tree]
+        while todo:
+            node = todo.pop()
+            if id(node) in constructors:
+                continue
+            todo += ast.iter_child_nodes(node)
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = list(getattr(node, "targets", [getattr(node, "target", None)]))
+                while targets:  # the assigned places, unpacked, not what indexes them
+                    t = targets.pop()
+                    if isinstance(t, (ast.Tuple, ast.List)):
+                        targets += t.elts
+                    elif isinstance(t, ast.Starred):
+                        targets.append(t.value)
+                    elif isinstance(t, ast.Attribute) and t.attr in fields:
+                        bad.append((os.path.basename(path), t.lineno))
+            elif isinstance(node, ast.Call) and {"setattr", "__setattr__"} & {
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)}:
+                named = node.args[1] if len(node.args) > 1 else None
+                if not isinstance(named, ast.Constant) or named.value in fields:
+                    bad.append((os.path.basename(path), node.lineno))
+    assert not bad, bad
