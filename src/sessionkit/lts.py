@@ -23,15 +23,15 @@ the copies with ``types._image``, the one builder of new store nodes.
 
 Results live in the ``memo`` of store nodes (see ``types``), so every
 bisimilar type shares them while the node lives; there is no module-level
-cache.  Enabledness is one bit per (node, label, mode): a node's bit depends
-only on the nodes it reaches, so a derived type solves only the nodes no
-earlier question reached, and the game reads the bit of the root alone.
-``enabled_nodes`` collects the bits of a whole view.  A node's stepped copy
-under a label is memoized too, so ``derivative`` interns only copies that
-were never made before; the root also keeps the derivative's ``Type`` per
-(label, mode), None when the label is not enabled, so the game asks
-``derivative`` alone whether a responder can answer.  ``enumerate_labels``
-returns the tuple it memoizes per (direction, mode).
+cache.  A node keeps one dict per mode, keyed by the label alone.  It holds
+the node's enabledness bit: a bit depends only on the nodes the node
+reaches, so a derived type solves only the nodes no earlier question
+reached, and the game reads the bit of the root alone.  Once ``derivative``
+is asked at the node as a root, the bit True gives way to the derivative's
+``Type``.  Under ``"in"`` and ``"out"`` the dict keeps the node's label
+table, which ``enumerate_labels`` and the games read.  Stepped copies, the
+same in every mode, are memoized per label in the node's ``"residual"``
+dict, so ``derivative`` interns only copies that were never made before.
 """
 
 from __future__ import annotations
@@ -186,22 +186,26 @@ def prune(keys, holds, users):
     return live, removed
 
 
+def _moves(n, mode: str) -> dict:
+    """The per-mode dict of node ``n``; an unknown mode makes none."""
+    if mode not in ("must", "ind", "full"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return n.memo.get(mode) or n.memo.setdefault(mode, {})
+
+
 def _enabled(n, l: Label, mode: str) -> bool:
     """Whether node ``n`` derives ``l`` in ``mode``; ind and full bits are memoized."""
     if mode == "must":
         return _step(n, l) is not None
-    ck = (l, mode)
-    bit = n.memo.get(ck)
+    bit = _moves(n, mode).get(l)
     if bit is None:
-        if mode not in ("ind", "full"):
-            raise ValueError(f"unknown mode {mode!r}")
-        _solve(n, l, mode == "full", ck)
-        bit = n.memo[ck]
-    return bit
+        _solve(n, l, mode)
+        bit = n.memo[mode][l]
+    return bit is not False  # a derivative stands for True
 
 
-def _solve(n, l: Label, fair: bool, ck: tuple):
-    """Memoize the ``ck`` bit of ``n`` and of every node it rests on that lacks one.
+def _solve(n, l: Label, mode: str):
+    """Memoize the ``l`` bit of ``n`` and of every node it rests on that lacks one.
 
     A node that fires an axiom derives ``l``; one the buffering rule never
     applies to does not.  The others are solved together by ``prune``
@@ -210,13 +214,14 @@ def _solve(n, l: Label, fair: bool, ck: tuple):
     every type that holds the node.  In ``full`` mode those constants are
     the final bits in both fixed points, which leaves both unchanged.
     """
-    def known(c):
-        bit = c.memo.get(ck)
+    def known(c):  # the bit of c, a derivative, or None
+        moves = _moves(c, mode)
+        bit = moves.get(l)
         if bit is None:
             if _step(c, l) is not None:
-                bit = c.memo[ck] = True
+                bit = moves[l] = True
             elif _premises(c, l) is None:
-                bit = c.memo[ck] = False
+                bit = moves[l] = False
         return bit
 
     if known(n) is not None:
@@ -232,7 +237,7 @@ def _solve(n, l: Label, fair: bool, ck: tuple):
                     order.append(c)
                 ins.append(j)
             else:
-                outs.append(bit)
+                outs.append(bit is not False)
         inner.append(ins)
         outer.append(outs)
     users = [[] for _ in order]
@@ -241,7 +246,7 @@ def _solve(n, l: Label, fair: bool, ck: tuple):
             users[j].append(i)
 
     def underivable(i, live):  # fairly, a choice needs only one premise
-        if fair and order[i].body[0] in ("plus", "with"):
+        if mode == "full" and order[i].body[0] in ("plus", "with"):
             return bool(inner[i] or outer[i]) and True not in outer[i] \
                 and live.issuperset(inner[i])
         return False in outer[i] or not live.isdisjoint(inner[i])
@@ -251,12 +256,12 @@ def _solve(n, l: Label, fair: bool, ck: tuple):
     keys = range(len(order))
     stuck, _ = prune(keys, underivable, users)
     out = [i for i in keys if i not in stuck]
-    if fair:
+    if mode == "full":
         out, _ = prune(out, lambda i, live: False not in outer[i] and live.issuperset(inner[i]),
                        users)
     out = set(out)
     for i, x in enumerate(order):
-        x.memo[ck] = i in out
+        x.memo[mode][l] = i in out
 
 
 def enabled_nodes(t: Type, l: Label, mode: str) -> frozenset:
@@ -281,17 +286,13 @@ def derivative(t: Type, l: Label, mode: str = "full") -> Type | None:
     later derivative that reaches the node; only new copies are interned.
     """
     node = t.node
-    memo, ck = node.memo, ("derivative", l, mode)
-    hit = memo.get(ck, False)  # None is a result: not enabled
-    if hit is not False:
-        return hit
-    if not _enabled(node, l, mode):
-        memo[ck] = None
-        return None
-    rk = ("residual", l)
+    moves = _moves(node, mode)
+    hit = moves.get(l)  # the bit, until the derivative replaces True
+    if isinstance(hit, Type) or hit is False or not _enabled(node, l, mode):
+        return hit or None  # the derivative, or None: not enabled
 
     def known(n):
-        return _step(n, l) or n.memo.get(rk)
+        return _step(n, l) or n.memo.get("residual", {}).get(l)
 
     def body(b, ref):
         if b[0] in ("plus", "with"):
@@ -300,42 +301,46 @@ def derivative(t: Type, l: Label, mode: str = "full") -> Type | None:
 
     root, made = ty._image(node, known, body)
     for n, copy in made.items():
-        n.memo[rk] = copy
-    out = memo[ck] = Type._of(root)
+        n.memo.setdefault("residual", {})[l] = copy
+    out = moves[l] = Type._of(root)
     return out
+
+
+def label_table(n, direction: str, mode: str) -> tuple:
+    """All, first-order and channel labels node ``n`` enables in ``direction``, in view order.
+
+    Candidates are ``*``, every (tag, measure) pair that occurs in the
+    automaton, and every payload type (deduplicated up to bisimilarity).
+    Other labels can be derived too: an empty choice derives every label of
+    the opposite direction vacuously, so ``+{}`` enables ``?a`` in ``full``
+    mode although only ``?*`` is listed.  So ``relations._expand`` also
+    offers the challenge's payload, or its dual, as a channel response.
+    """
+    moves = _moves(n, mode)
+    return moves.get(direction) or moves.setdefault(direction, _build_table(n, direction, mode))
+
+
+def _build_table(n, direction: str, mode: str) -> tuple:
+    cands, seen = [star(direction)], set()
+    for x in n.reach():
+        b = x.body
+        if b[0] in ("plus", "with"):
+            for tg, m, _ in b[1]:
+                if (tg, m) not in seen:
+                    seen.add((tg, m))
+                    cands.append(tag(direction, tg, m))
+        elif b[0] in ("times", "par") and b[1] not in seen:
+            seen.add(b[1])
+            cands.append(chan(direction, Type._of(b[1])))
+    labels = tuple(l for l in cands if _enabled(n, l, mode))
+    fo = tuple(l for l in labels if l.is_first_order)  # shares labels' tuple if all are
+    return (labels, labels if len(fo) == len(labels) else fo,
+            tuple(l for l in labels if not l.is_first_order))
 
 
 def enumerate_labels(t: Type, direction: str, mode: str = "full") -> tuple:
-    """The enabled labels in the given direction, among those the type names.
-
-    Candidates are ``*``, every (tag, measure) pair that occurs in the
-    automaton, and every payload type (deduplicated up to bisimilarity), in
-    the order of the view.  Other labels can be derived too: an empty choice
-    derives every label of the opposite direction vacuously, so ``+{}``
-    enables ``?a`` in ``full`` mode although only ``?*`` is listed.  That
-    gap is why ``relations._expand`` also offers the challenge's payload, or
-    its dual, as a channel response the responder's table may not name.
-    """
-    node = t.node
-    memo, ck = node.memo, ("labels", direction, mode)
-    hit = memo.get(ck)
-    if hit is not None:
-        return hit
-    cands = [star(direction)]
-    seen_tags = set()
-    seen_chans = set()
-    for n in node.reach():
-        b = n.body
-        if b[0] in ("plus", "with"):
-            for tg, m, _ in b[1]:
-                if (tg, m) not in seen_tags:
-                    seen_tags.add((tg, m))
-                    cands.append(tag(direction, tg, m))
-        elif b[0] in ("times", "par") and b[1] not in seen_chans:
-            seen_chans.add(b[1])
-            cands.append(chan(direction, Type._of(b[1])))
-    out = memo[ck] = tuple(l for l in cands if _enabled(node, l, mode))
-    return out
+    """The enabled labels in the given direction: the first part of ``label_table``."""
+    return label_table(t.node, direction, mode)[0]
 
 
 # ---------------------------------------------------------------------------

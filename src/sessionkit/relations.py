@@ -31,13 +31,16 @@ Relation kinds, with their challenge / response modes (``MODES``):
 plays send-left, send-right, send-chan-left and send-chan-right: outputs of
 one side answered by inputs of the other.  Subtyping plays receive-sup and
 send-sub, then receive-chan-sup and send-chan-sub, which first-order kinds
-skip; ``bzfairsub`` adds must-output-reachability.
+skip; ``bzfairsub`` adds must-output-reachability.  The challenger's labels
+and the responder's channel answers are read from the label tables memoized
+on each side's root node (``lts.label_table``), and responses from the
+derivatives memoized beside them, so a pair costs only its own moves.
 
 A challenge is a tuple ``(clause, label, responses, note)``, and a response
 is ``(label, successor pairs)``; ``note`` says why a challenge has none.
-``check`` numbers the successor pairs, ``_extract_trace`` reads the clause,
-labels and note of the pairs it visits, and the validators call ``_expand``
-themselves and read the same tuples.
+``check`` numbers the pairs by their root nodes, ``_extract_trace`` reads
+the clause, labels and note of the pairs it visits, and the validators call
+``_expand`` themselves; ``validate_witness`` keys the members by root nodes.
 """
 
 from __future__ import annotations
@@ -81,13 +84,16 @@ KINDS = tuple(MODES)
 SUB_KINDS = tuple(k for k, m in MODES.items() if m[0] == "sub")
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Budget:
     max_pairs: int = 2000
     max_nodes_per_type: int = 64
 
 
-@dataclass
+_BUDGET = Budget()  # the budget of a check made without one
+
+
+@dataclass(slots=True)
 class Verdict:
     kind: str
     answer: str  # "yes" | "no" | "unknown"
@@ -115,34 +121,24 @@ class Verdict:
 
 
 def _measure_note(responder: Type, l, mode: str) -> str | None:
-    """Distinguish a missing tag from a tag present under another measure."""
-    if l.msg[0] != "tag":
-        return None
-    name, m = l.msg[1], l.msg[2]
-    for b in responder.nodes:
-        if b[0] in ("plus", "with"):
-            for tg, mm, _ in b[1]:
-                if tg == name and mm != m:
-                    alt = lts.Label(l.direction, ("tag", name, mm))
-                    if lts.enabled(responder, alt, mode):
-                        return f"measure mismatch on tag {name!r}: {m} vs {mm}"
+    """Distinguish a missing tag from one enabled under another measure; ``l`` is not."""
+    if l.msg[0] == "tag":
+        for alt in lts.label_table(responder.node, l.direction, mode)[1]:
+            if alt.msg[:2] == l.msg[:2]:
+                return f"measure mismatch on tag {l.msg[1]!r}: {l.msg[2]} vs {alt.msg[2]}"
     return None
 
 
 def _must_reachable_outputs(T: Type) -> list:
     """Output labels must-enabled anywhere T can get by must-mode inputs."""
-    queue = [T]
-    seen = {T}
-    out = {}
+    queue, seen, out = [T], {T.node}, {}
     for u in queue:  # grows as derivatives are discovered
-        outs, ins = ([l for l in lts.enumerate_labels(u, d, "must") if l.is_first_order]
-                     for d in ("out", "in"))
-        for l in outs:
+        for l in lts.label_table(u.node, "out", "must")[1]:
             out.setdefault(l)
-        for l in ins:
+        for l in lts.label_table(u.node, "in", "must")[1]:
             v = lts.derivative(u, l, "must")
-            if v not in seen:
-                seen.add(v)
+            if v.node not in seen:
+                seen.add(v.node)
                 queue.append(v)
     return list(out)
 
@@ -156,9 +152,7 @@ def _expand(kind: str, S: Type, T: Type):
         if is_chan and first_order:
             continue
         X, Y = sides[c], sides[1 - c]
-        for l in lts.enumerate_labels(X, cd, chal):
-            if l.is_first_order == is_chan:
-                continue  # the game's other clause plays this label
+        for l in lts.label_table(X.node, cd, chal)[2 if is_chan else 1]:
             if not is_chan:  # Y answers with the same message, or cannot
                 m = l if cd == rd else l.flip()
                 y = lts.derivative(Y, m, resp)
@@ -172,9 +166,9 @@ def _expand(kind: str, S: Type, T: Type):
             # the same payload when both sides act alike, its dual when they
             # face each other: an empty choice derives it vacuously
             hint = lts.chan(rd, l.msg[1] if cd == rd else dual(l.msg[1]))
-            answers = [m for m in lts.enumerate_labels(Y, rd, resp) if not m.is_first_order]
+            answers = lts.label_table(Y.node, rd, resp)[2]
             if hint not in answers and lts.enabled(Y, hint, resp):
-                answers.append(hint)
+                answers += (hint,)
             after = lts.derivative(X, l, chal) if answers else None
             rs = []
             for m in answers:
@@ -182,14 +176,15 @@ def _expand(kind: str, S: Type, T: Type):
                 succs = ((l.msg[1], m.msg[1]), (after, lts.derivative(Y, m, resp)))
                 rs.append((m, tuple(p[::-1] for p in succs) if c else succs))
             chs.append((clause, l, rs, None if rs else note))
-    if reach and any(l.is_first_order for l in lts.enumerate_labels(S, "out", "must")):
+    if reach and lts.label_table(S.node, "out", "must")[1]:
         for tau in _must_reachable_outputs(T):
             if not lts.enabled(S, tau, "must"):
                 chs.append(("must-output-reachability", tau, (),
                             "supertype reaches this output over must inputs; "
                             "candidate cannot emit it now"))
     # composition faces the right side's dual; subtyping compares it as is
-    pol_ok = S.is_positive() or T.is_positive() == (game == "compose")
+    pol_ok = S.node.body[0] in ty.POSITIVE or \
+        (T.node.body[0] in ty.POSITIVE) == (game == "compose")
     return pol_ok, chs
 
 
@@ -200,7 +195,7 @@ def _expand(kind: str, S: Type, T: Type):
 def check(S: Type, T: Type, kind: str, budget: Budget | None = None) -> Verdict:
     if kind not in KINDS:
         raise ValueError(f"unknown relation kind {kind!r}")
-    b = budget or Budget()
+    b = budget or _BUDGET
     warnings = []
     if MODES[kind][3]:
         if not (ty.is_first_order(S) and ty.is_first_order(T)):
@@ -213,32 +208,43 @@ def check(S: Type, T: Type, kind: str, budget: Budget | None = None) -> Verdict:
     order = [(S, T)]
     users = [[]]  # number -> numbers of the pairs whose responses reach it
     nodes = []  # number -> (pol_ok, challenges, successor numbers per response) | None
+    cut = set()  # the caps that cut a frontier pair
     for i, key in enumerate(order):  # grows as successors are discovered
-        if (i and len(order) > b.max_pairs) or \
-                max(key[0].size(), key[1].size()) > b.max_nodes_per_type:
-            nodes.append(None)  # frontier
+        if i and len(order) > b.max_pairs:
+            cut.add("max_pairs")
+        elif max(len(key[0].node.reach()), len(key[1].node.reach())) > b.max_nodes_per_type:
+            cut.add("max_nodes_per_type")
+        else:
+            pol_ok, chs = _expand(kind, *key)
+            succs = []
+            for _, _, responses, _ in chs:
+                rs = []
+                for _, pairs in responses:
+                    js = []
+                    for p in pairs:
+                        j = ids.setdefault((p[0].node, p[1].node), len(order))
+                        if j == len(order):
+                            order.append(p)
+                            users.append([])
+                        users[j].append(i)
+                        js.append(j)
+                    rs.append(js)
+                succs.append(rs)
+            nodes.append((pol_ok, chs, succs))
             continue
-        pol_ok, chs = _expand(kind, *key)
-        succs = []
-        for _, _, responses, _ in chs:
-            rs = []
-            for _, pairs in responses:
-                js = []
-                for p in pairs:
-                    j = ids.setdefault((p[0].node, p[1].node), len(order))
-                    if j == len(order):
-                        order.append(p)
-                        users.append([])
-                    users[j].append(i)
-                    js.append(j)
-                rs.append(js)
-            succs.append(rs)
-        nodes.append((pol_ok, chs, succs))
+        nodes.append(None)  # frontier
 
     def holds(i, live):  # unexplored pairs lose
         node = nodes[i]
-        return node is not None and node[0] and \
-            all(any(live.issuperset(r) for r in rs) for rs in node[2])
+        if node is None or not node[0]:
+            return False
+        for rs in node[2]:  # every challenge has a response inside live
+            for r in rs:
+                if live.issuperset(r):
+                    break
+            else:
+                return False
+        return True
 
     n_frontier = nodes.count(None)
     stats = {"pairs_explored": len(order),
@@ -259,18 +265,20 @@ def check(S: Type, T: Type, kind: str, budget: Budget | None = None) -> Verdict:
         trace, reason = _extract_trace(nodes, order, removed)
         return Verdict(kind, "no", trace=trace, reason=reason, stats=stats,
                        warnings=warnings)
+    caps = " and ".join(f"{c}={getattr(b, c)}" for c in sorted(cut))
     return Verdict(kind, "unknown", stats=stats, warnings=warnings,
-                   reason="budget exhausted before the game closed")
+                   reason=f"budget exhausted before the game closed: {caps} cut the frontier")
 
 
 def _extract_witness(nodes, order, good):
     """The pairs the first surviving responses reach, root first, in BFS order."""
-    keep = [0]
-    kept = {0}
+    keep, kept = [0], {0}
     for i in keep:
         for rs in nodes[i][2]:
-            chosen = next(r for r in rs if good.issuperset(r))
-            for j in chosen:
+            for r in rs:  # the first response inside good
+                if good.issuperset(r):
+                    break
+            for j in r:
                 if j not in kept:
                     kept.add(j)
                     keep.append(j)
@@ -314,13 +322,19 @@ def _extract_trace(nodes, order, removed):
 
 def validate_witness(kind: str, members: list) -> tuple[bool, str | None]:
     """Check clause-closure of a claimed witness set of (Type, Type) pairs."""
-    keys = {(a, b) for a, b in members}
+    keys = {(a.node, b.node) for a, b in members}
     for a, b in members:
         pol_ok, chs = _expand(kind, a, b)
         if not pol_ok:
             return False, f"polarity fails at ({ty.render_inline(a)}, {ty.render_inline(b)})"
         for clause, label, resps, _ in chs:
-            if not any(all(s in keys for s in succs) for _, succs in resps):
+            for _, succs in resps:  # a response whose successors are all members
+                for x, y in succs:
+                    if (x.node, y.node) not in keys:
+                        break
+                else:
+                    break
+            else:
                 return False, (f"challenge {clause} {label} unanswered at "
                                f"({ty.render_inline(a)}, {ty.render_inline(b)})")
     return True, None
@@ -363,9 +377,8 @@ def cross_check_correct_subt(S: Type, T: Type, budget: Budget | None = None) -> 
     each report unknown, but a definite yes on one side with a definite no
     on the other is a checker bug.
     """
-    b = budget or Budget()
-    comp = check(S, T, "compose", b)
-    sub = check(S, dual(T), "fairsub", b)
+    comp = check(S, T, "compose", budget)
+    sub = check(S, dual(T), "fairsub", budget)
     definitive = {"yes", "no"}
     consistent = not (comp.answer in definitive and sub.answer in definitive
                       and comp.answer != sub.answer)

@@ -27,7 +27,7 @@ can be bisimilar to a node it reaches: ``X = +{a: X, b: E}`` is
 key that does not depend on how its nodes were numbered, and added if it is
 not there.  The store holds nodes weakly, so it keeps alive only what some
 live ``Type`` reaches, and needs no eviction.  Each node carries its dual
-and the ``memo`` in which ``lts`` keeps enabledness, derivatives and labels,
+and the ``memo`` in which ``lts`` keeps a dict per mode and the residuals,
 and this module keeps three facts of the node as a root: ``"inline"``
 (``render_inline``), ``"fair"`` (``is_fairly_terminating``) and
 ``"first_order"`` (``is_first_order``).
@@ -134,19 +134,11 @@ class Type:
     def nodes(self) -> tuple:
         return self.node.table()
 
-    @property
-    def memo(self) -> dict:
-        """Results computed on the root node, shared by every bisimilar type."""
-        return self.node.memo
-
     def kind(self, nid=0):
         return (self.node.reach()[nid] if nid else self.node).body[0]
 
     def body(self, nid=0):
         return self.nodes[nid]
-
-    def is_positive(self, nid=0) -> bool:
-        return self.kind(nid) in POSITIVE
 
     def at(self, nid: int) -> "Type":
         """The type of node ``nid`` of the view."""

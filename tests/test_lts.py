@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sessionkit import lts, randgen
+from sessionkit import lts, randgen, relations
 from sessionkit import types as ty
 
 
@@ -384,10 +384,18 @@ def test_derivative_matches_two_layer_product(seed, higher_order):
 
 def test_unknown_mode_stores_nothing():
     t = ty.parse_type("type T = +{ a: T, b: end! }")
-    before = dict(t.memo)
-    for call in (lts.enabled_nodes, lts.derivative):
-        with pytest.raises(ValueError):
-            call(t, lts.star("out"), "fair")
+    ty.is_fairly_terminating(t), ty.render_inline(t)  # memo keys that are no mode
+    lts.derivative(t, lts.tag("out", "a"), "full")
+    before = {k: dict(v) if isinstance(v, dict) else v for k, v in t.node.memo.items()}
+    for mode in ("fair", "inline", "residual", "Full"):
+        for call in (lts.enabled_nodes, lts.enabled, lts.derivative):
+            with pytest.raises(ValueError):
+                call(t, lts.star("out"), mode)
+        for d in ("in", "out"):
+            with pytest.raises(ValueError):
+                lts.enumerate_labels(t, d, mode)
+            with pytest.raises(ValueError):
+                lts.label_table(t.node, d, mode)
     with pytest.raises(ValueError):
-        lts.enumerate_labels(t, "out", "fair")
-    assert t.memo == before
+        relations.check(t, t, "fair")
+    assert t.node.memo == before

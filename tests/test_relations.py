@@ -1,5 +1,10 @@
+import dataclasses
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -155,6 +160,109 @@ def test_zero_and_top_are_extremes():
             assert ok, why
 
 
+def test_unknown_names_the_caps_that_cut_the_frontier():
+    exhausted = "budget exhausted before the game closed: "
+    # one pair on the frontier, cut by the node cap, not the pair budget
+    v = check(fixtures.SERVER_WORKER_TYPES, "S", "U", "compose", max_pairs=20000)
+    assert v.answer == "unknown" and v.stats["pairs_frontier"] == 1
+    assert v.reason == exhausted + "max_nodes_per_type=64 cut the frontier"
+    v = check(fixtures.SLOT_TYPES, "T", "S", "fairsub")
+    assert v.answer == "unknown" and v.stats["pairs_frontier"] == 1
+    assert v.reason == exhausted + "max_nodes_per_type=64 cut the frontier"
+    v = check(fixtures.SERVER_WORKER_TYPES, "S", "U", "compose", max_pairs=32)
+    assert v.answer == "unknown" and v.stats["pairs_explored"] > 32
+    assert v.reason == exhausted + "max_pairs=32 cut the frontier"
+    # two server/worker chains, one padded so that it meets the node cap first
+    two = fixtures.SERVER_WORKER_TYPES + """
+        type A = +{ x: S, y: P }  type P = +{ job@1: P, stop: V }
+        type V = &{ res: V, stop: &{ p: &{ q: &{ r: end? } } } }
+        type B = &{ x: U, y: W }
+        type W = &{ job@1: +{ res: W }, stop: +{ stop: +{ p: +{ q: +{ r: end! } } } } }"""
+    v = check(two, "A", "B", "compose", max_pairs=34, max_nodes_per_type=11)
+    assert v.answer == "unknown"
+    assert v.reason == exhausted + "max_nodes_per_type=11 and max_pairs=34 cut the frontier"
+
+
+def test_budget_is_frozen():
+    b = relations.Budget(32)
+    for budget in (b, relations._BUDGET):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            budget.max_pairs = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            budget.max_nodes_per_type = 1
+    assert repr(b) == "Budget(max_pairs=32, max_nodes_per_type=64)"
+    assert repr(relations._BUDGET) == "Budget(max_pairs=2000, max_nodes_per_type=64)"
+    assert b == relations.Budget(max_pairs=32) and relations._BUDGET == relations.Budget()
+
+
+def _batch(seed, pairs):
+    """Seeded (S, T) pairs, a quarter drawn higher-order, most T mutants of S."""
+    rng = random.Random(seed)
+    for i in range(pairs):
+        S = randgen.random_tractable(rng, 6, higher_order=i % 4 == 0)
+        T = randgen.mutate(rng, S) if i % 3 else \
+            randgen.random_tractable(rng, 6, higher_order=i % 4 == 0)
+        yield S, T
+
+
+def _kinds(S, T):
+    first_order = ty.is_first_order(S) and ty.is_first_order(T)
+    return [k for k in relations.KINDS if first_order or not relations.MODES[k][3]]
+
+
+def test_label_tables_are_built_once_per_node(monkeypatch):
+    # each side's moves are a fact of its root node: a game reads them from
+    # the node's table and never enumerates labels again
+    built, build = Counter(), lts._build_table
+
+    def counted(n, direction, mode):
+        built[n, direction, mode] += 1  # holds n, so no node dies and returns
+        return build(n, direction, mode)
+
+    def enumerate_labels(*args):
+        raise AssertionError("a game enumerated labels")
+
+    batch = list(_batch(39, 40))  # randgen enumerates labels to draw
+    monkeypatch.setattr(lts, "_build_table", counted)
+    monkeypatch.setattr(lts, "enumerate_labels", enumerate_labels)
+    answers, higher_order = Counter(), 0
+    for S, T in batch:
+        higher_order += not ty.is_first_order(S)
+        for kind in _kinds(S, T):
+            for pair in ((S, T), (S, S), (ty.dual(S), S)):
+                answers[relations.check(*pair, kind).answer] += 1
+    assert higher_order and answers["yes"] and answers["no"]
+    assert {mode for _, _, mode in built} == {"must", "ind", "full"}
+    assert set(built.values()) == {1}
+
+
+_HASH_SEED_BATCH = """
+import json, sys
+sys.path.insert(0, {tests!r})
+from test_relations import _batch, _kinds
+from sessionkit import relations
+for S, T in _batch(21, 40):
+    for kind in _kinds(S, T):
+        print(json.dumps(relations.check(S, T, kind).to_json()))
+"""
+
+
+def test_verdicts_ignore_hash_seed():
+    src = os.path.dirname(os.path.dirname(relations.__file__))
+    script = _HASH_SEED_BATCH.format(tests=os.path.dirname(os.path.abspath(__file__)))
+    outs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        outs.append(done.stdout)
+    verdicts = [json.loads(line) for line in outs[0].splitlines()]
+    assert len(verdicts) > 150 and {v["answer"] for v in verdicts} >= {"yes", "no"}
+    assert any("witness" in v for v in verdicts) and any("trace" in v for v in verdicts)
+    assert outs[0] == outs[1]
+
+
 def test_unknown_budget_and_monotone_stats():
     decls = fixtures.SERVER_WORKER_TYPES
     explored = []
@@ -244,6 +352,34 @@ class _Challenge:
     note: str | None = None
 
 
+def _view_measure_note(responder, l, mode):
+    """Reference for relations._measure_note: a walk of the responder's view."""
+    if l.msg[0] != "tag":
+        return None
+    name, m = l.msg[1], l.msg[2]
+    for b in responder.nodes:
+        if b[0] in ("plus", "with"):
+            for tg, mm, _ in b[1]:
+                if tg == name and mm != m:
+                    alt = lts.Label(l.direction, ("tag", name, mm))
+                    if lts.enabled(responder, alt, mode):
+                        return f"measure mismatch on tag {name!r}: {m} vs {mm}"
+    return None
+
+
+def _view_must_reachable_outputs(T):
+    """Reference for relations._must_reachable_outputs, over enumerate_labels."""
+    queue, out = [T], {}
+    for u in queue:  # grows as derivatives are discovered
+        for l in lts.enumerate_labels(u, "out", "must"):
+            if l.is_first_order:
+                out.setdefault(l)
+        for l in lts.enumerate_labels(u, "in", "must"):
+            if l.is_first_order and lts.derivative(u, l, "must") not in queue:
+                queue.append(lts.derivative(u, l, "must"))
+    return list(out)
+
+
 def _dataclass_expand(kind, S, T):
     """Reference for relations._expand: the game as objects, asking ``enabled``
     before ``derivative`` and building a fresh response label every time."""
@@ -267,7 +403,7 @@ def _dataclass_expand(kind, S, T):
             else:
                 m = lts.Label(rd, l.msg)
                 answers = [m] if lts.enabled(Y, m, resp) else []
-                miss = None if answers else relations._measure_note(Y, m, resp)
+                miss = None if answers else _view_measure_note(Y, m, resp)
             after = lts.derivative(X, l, chal) if answers else None
             rs = []
             for m in answers:
@@ -276,13 +412,13 @@ def _dataclass_expand(kind, S, T):
                 rs.append(_Response(m, [p[::-1] if c else p for p in succs]))
             chs.append(_Challenge(clause, l, rs, None if rs else miss))
     if reach and any(l.is_first_order for l in lts.enumerate_labels(S, "out", "must")):
-        for tau in relations._must_reachable_outputs(T):
+        for tau in _view_must_reachable_outputs(T):
             if not lts.enabled(S, tau, "must"):
                 chs.append(_Challenge(
                     "must-output-reachability", tau, [],
                     "supertype reaches this output over must inputs; "
                     "candidate cannot emit it now"))
-    pol_ok = S.is_positive() or T.is_positive() == (game == "compose")
+    pol_ok = S.kind() in ty.POSITIVE or (T.kind() in ty.POSITIVE) == (game == "compose")
     return pol_ok, chs
 
 

@@ -269,7 +269,7 @@ def test_root_facts_match_fresh_computation(raw):
         return ty.render_inline(u), ty.is_fairly_terminating(u), ty.is_first_order(u)
 
     warm = [facts(u) for u in subs]
-    assert all({"inline", "fair", "first_order"} <= u.memo.keys() for u in subs)
+    assert all({"inline", "fair", "first_order"} <= u.node.memo.keys() for u in subs)
     assert [facts(u) for u in subs] == warm  # read back from the memos
     for n in t.key().reach():
         n.memo.clear()  # each fact computed with nothing memoized
@@ -354,7 +354,7 @@ def test_types_settle_on_first_read(monkeypatch):
     assert calls == []
     t.nodes
     assert len(calls) == 1
-    hash(t), t.memo, t.size()
+    hash(t), t.node.memo, t.size()
     assert len(calls) == 1
 
 
@@ -362,7 +362,7 @@ def test_types_settle_on_first_read(monkeypatch):
 @settings(max_examples=100, deadline=None)
 def test_bisimilar_types_share_one_table_and_memo(raw):
     a, b = ty.Type(raw), ty.Type(doubled(raw))
-    assert a.key() is b.key() and a.nodes is b.nodes and a.memo is b.memo
+    assert a.key() is b.key() and a.nodes is b.nodes and a.node.memo is b.node.memo
     assert ty.Type(a.nodes).key() is a.key()
 
 
@@ -370,7 +370,7 @@ def test_intern_map_keeps_nothing_alive():
     def build():
         t = ty.parse_type("type T = +{ a: T, only_here: &{ c: T } }")
         d = lts.derivative(t, lts.tag("out", "a"), "full")
-        assert d == t and d.memo is t.memo  # a cycle: t's memo holds d, d holds t
+        assert d == t and d.node.memo is t.node.memo  # a cycle: t's memo holds d, d holds t
         e = lts.derivative(t, lts.tag("in", "c"), "full")  # a stepped copy of the loop
         assert e != t and ty.dual(e) != e
         for x in (t, e, ty.dual(e)):  # fill the per-node facts too
