@@ -26,7 +26,8 @@ prefix, each body of a ``case``, ``new`` or fork, each parenthesis, each
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import is_not
 
 from . import types as ty
 from .types import Type
@@ -116,33 +117,32 @@ class Program:
     main: object | None
 
 
+# Each term class's subterm fields in source order, each with the field that
+# binds a name over it, or None.  A case's subterms are its branches, which
+# the walkers read from ``branches`` themselves.
+_SHAPES = {
+    Done: (), Link: (), Close: (), Call: (), Case: (),
+    Wait: (("cont", None),), Select: (("cont", None),),
+    Fork: (("payload", "y"), ("cont", None)),
+    Join: (("cont", "y"),),
+    Choice: (("left", None), ("right", None)),
+    Cut: (("left", "x"), ("right", "x")),
+}
+
+
 def free_names(p) -> frozenset:
-    if isinstance(p, Done):
-        return frozenset()
-    if isinstance(p, Link):
-        return frozenset({p.x, p.y})
-    if isinstance(p, Close):
-        return frozenset({p.x})
-    if isinstance(p, Wait):
-        return free_names(p.cont) | {p.x}
-    if isinstance(p, Select):
-        return free_names(p.cont) | {p.x}
-    if isinstance(p, Case):
-        out = frozenset({p.x})
-        for _, q in p.branches:
-            out |= free_names(q)
-        return out
-    if isinstance(p, Fork):
-        return (free_names(p.payload) - {p.y}) | (free_names(p.cont)) | {p.x}
-    if isinstance(p, Join):
-        return (free_names(p.cont) - {p.y}) | {p.x}
-    if isinstance(p, Choice):
-        return free_names(p.left) | free_names(p.right)
-    if isinstance(p, Cut):
-        return (free_names(p.left) | free_names(p.right)) - {p.x}
-    if isinstance(p, Call):
-        return frozenset(p.args)
-    raise ProcessError(f"not a term: {p!r}")
+    out, todo = set(), [(p, frozenset())]
+    while todo:  # each subterm, with the names bound above it
+        t, bound = todo.pop()
+        cls = type(t)
+        if cls is Case:
+            todo += [(q, bound) for _, q in t.branches]
+        for f, b in _SHAPES[cls]:
+            todo.append((getattr(t, f), bound | {getattr(t, b)} if b else bound))
+        names = (t.args if cls is Call else (t.x, t.y) if cls is Link
+                 else () if cls in (Done, Choice, Cut) else (t.x,))
+        out.update([n for n in names if n not in bound])
+    return frozenset(out)
 
 
 def rename(p, sub: dict, fresh=None):
@@ -341,27 +341,33 @@ def parse_program(src: str) -> Program:
     counter = {}
 
     def fix(term):
-        # resolve cut annotations and assign stable cut ids
-        if isinstance(term, Cut):
-            k = counter.get(term.x, 0) + 1
-            counter[term.x] = k
-            cid = f"cut-{term.x}" if k == 1 else f"cut-{term.x}-{k}"
-            return Cut(term.x, resolve_ast(term.left_type), resolve_ast(term.right_type),
-                       fix(term.left), fix(term.right), cid)
-        if isinstance(term, (Wait, Select)):
-            return type(term)(**{**vars_of(term), "cont": fix(term.cont)})
-        if isinstance(term, Case):
-            return Case(term.x, tuple((t, fix(q)) for t, q in term.branches))
-        if isinstance(term, Fork):
-            return Fork(term.x, term.y, fix(term.payload), fix(term.cont))
-        if isinstance(term, Join):
-            return Join(term.x, term.y, fix(term.cont))
-        if isinstance(term, Choice):
-            return Choice(fix(term.left), fix(term.right))
-        return term
-
-    def vars_of(term):
-        return {f: getattr(term, f) for f in term.__dataclass_fields__}
+        # resolve cut annotations and number the cuts in pre-order, a cut before
+        # its sides; a term is rebuilt after its subterms, if one of them changed
+        done, todo = [], [term]
+        while todo:
+            t = todo.pop()
+            cls = type(t)
+            if cls is tuple:  # a term and its subterms as parsed, now fixed on `done`
+                t, old = t
+                k = len(done) - len(old)
+                new = done[k:]
+                if any(map(is_not, new, old)):
+                    t = (Case(t.x, tuple(zip([tag for tag, _ in t.branches], new)))
+                         if type(t) is Case else
+                         replace(t, **dict(zip([f for f, _ in _SHAPES[type(t)]], new))))
+                done[k:] = [t]
+                continue
+            if cls is Cut:
+                n = counter[t.x] = counter.get(t.x, 0) + 1
+                t = Cut(t.x, resolve_ast(t.left_type), resolve_ast(t.right_type), t.left,
+                        t.right, f"cut-{t.x}" if n == 1 else f"cut-{t.x}-{n}")
+            old = ([q for _, q in t.branches] if cls is Case
+                   else [getattr(t, f) for f, _ in _SHAPES[cls]])
+            if old:
+                todo += [(t, old), *reversed(old)]
+            else:
+                done.append(t)
+        return done[0]
 
     defs = {n: (ps, fix(b)) for n, (ps, b) in defs.items()}
     prog = Program(types, sigs, defs, fix(main) if main is not None else None)
@@ -381,15 +387,18 @@ def _check_free_names(prog: Program):
 
 def _check_arities(prog: Program):
     def walk(term, where):
-        if isinstance(term, Call):
-            if term.name not in prog.defs:
-                raise ProcessError(f"{where}: call to unknown definition {term.name!r}")
-            want = len(prog.defs[term.name][0])
-            if len(term.args) != want:
-                raise ProcessError(
-                    f"{where}: {term.name} takes {want} channels, got {len(term.args)}")
-        for child in _children(term):
-            walk(child, where)
+        todo = [term]
+        while todo:
+            t = todo.pop()
+            if type(t) is Call:
+                if t.name not in prog.defs:
+                    raise ProcessError(f"{where}: call to unknown definition {t.name!r}")
+                want = len(prog.defs[t.name][0])
+                if len(t.args) != want:
+                    raise ProcessError(
+                        f"{where}: {t.name} takes {want} channels, got {len(t.args)}")
+            todo += reversed([q for _, q in t.branches] if type(t) is Case
+                             else [getattr(t, f) for f, _ in _SHAPES[type(t)]])
 
     for n, (ps, b) in prog.defs.items():
         if n in prog.sigs and len(prog.sigs[n]) != len(ps):
@@ -397,22 +406,6 @@ def _check_arities(prog: Program):
         walk(b, f"def {n}")
     if prog.main is not None:
         walk(prog.main, "main")
-
-
-def _children(term):
-    if isinstance(term, (Wait, Select)):
-        return [term.cont]
-    if isinstance(term, Case):
-        return [q for _, q in term.branches]
-    if isinstance(term, Fork):
-        return [term.payload, term.cont]
-    if isinstance(term, Join):
-        return [term.cont]
-    if isinstance(term, Choice):
-        return [term.left, term.right]
-    if isinstance(term, Cut):
-        return [term.left, term.right]
-    return []
 
 
 def _check_guardedness(prog: Program):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import json
 
-from . import types as ty
+from . import lts, types as ty
 from .types import Type
 
 
@@ -179,8 +179,6 @@ def step_correspondence(m: QueueMachine, word: str, max_steps: int = 200) -> dic
     symbol, each echoed into the queue type; the final pair must be the
     encodings of (q', αγ).  Returns per-step booleans plus the simulation.
     """
-    from . import lts
-
     # encodings are store nodes, so they are equal exactly when they are the
     # same node; each queue is interned once per call, over the queues built
     # before it and one echo loop, and the control table once for every state
@@ -189,31 +187,18 @@ def step_correspondence(m: QueueMachine, word: str, max_steps: int = 200) -> dic
     sim = simulate(m, word, max_steps)
     checks = []
     for (q, queue), (q2, queue2) in zip(sim.history, sim.history[1:]):
-        a = queue[0]
-        _, suffix = m.delta[(q, a)]
-        qt, ct = _queue(built, queue), controls[q]
-        ok = True
-        out = lts.derivative(qt, lts.tag("out", a), "must")
-        inp = lts.derivative(ct, lts.tag("in", a), "must")
-        ok = ok and out is not None and inp is not None
-        if ok:
-            ok = out == _queue(built, queue[1:])
-        qcur = out
-        ccur = inp
-        rest = queue[1:]
-        for c in suffix:
+        a, rest = queue[0], queue[1:]
+        qcur = lts.derivative(_queue(built, queue), lts.tag("out", a), "must")
+        ccur = lts.derivative(controls[q], lts.tag("in", a), "must")
+        ok = qcur is not None and ccur is not None and qcur == _queue(built, rest)
+        for c in m.delta[(q, a)][1]:
             if not ok:
                 break
-            emit = lts.derivative(ccur, lts.tag("out", c), "must")
-            took = lts.derivative(qcur, lts.tag("in", c), "full")
-            ok = ok and emit is not None and took is not None
-            if ok:
-                rest = rest + c
-                ok = took == _queue(built, rest)
-                qcur, ccur = took, emit
-        if ok:
-            ok = qcur == _queue(built, queue2) and ccur == controls[q2]
-        checks.append(ok)
+            ccur = lts.derivative(ccur, lts.tag("out", c), "must")
+            qcur = lts.derivative(qcur, lts.tag("in", c), "full")
+            rest += c
+            ok = ccur is not None and qcur is not None and qcur == _queue(built, rest)
+        checks.append(ok and qcur == _queue(built, queue2) and ccur == controls[q2])
     return {"sim": sim, "steps_ok": checks, "all_ok": all(checks)}
 
 

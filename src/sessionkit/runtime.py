@@ -8,11 +8,10 @@ item for the cut's channel on one side meets the guard on the other side.
 This realizes asynchrony: a sender deposits its outputs into its own pending
 list and moves on; matching is deferred until a receiver is ready.
 
-Every channel name occurs in exactly one session of the tree.  Names become
-fresh in two places: when ``normalize`` unfolds a definition, ``process.rename``
-gives every binder of the copied body a fresh name while it substitutes the
-arguments; and ``to_configuration_raw`` freshens each fork and cut binder that
-it strips into a pending item or a cut node.
+Every channel name occurs in exactly one session of the tree.  A name becomes
+fresh in one place, ``process.rename``, which gives every binder of a term a
+fresh name: once when ``to_configuration`` takes a term in, and once for each
+definition that ``normalize`` unfolds, while it substitutes the arguments.
 
 A step costs what it touches.  ``enabled_redexes`` files each leaf once, by
 channel, as a sender (its first pending item on it) and as a receiver (its
@@ -21,7 +20,9 @@ normalizes only what it rebuilt, in the order a walk of the whole tree would
 reach it, so fresh names come out the same; ``normalize`` itself keeps every
 subtree in which nothing changed.  A body that binds nothing draws no fresh
 name, so its unfolding depends only on the call's name and arguments: the
-run's ``_Fresh`` builds it once.  No walk recurses.
+run's ``_Fresh`` builds it once.  Walks over a configuration are loops, but
+``rename_config`` enters each fork payload through ``_rebuild``; walks over a
+term recurse at most once per level, which ``types.MAX_NESTING`` caps.
 
 Configuration records and ``Redex`` are slotted dataclasses, compared and
 hashed by field.  They are not frozen, but nothing assigns to a field after
@@ -103,19 +104,17 @@ class CutNode:
 
 
 def config_free_names(c) -> frozenset:
-    out, todo = [], [c]
-    while todo:
-        c = todo.pop()
+    out, todo = set(), [(c, frozenset())]
+    while todo:  # each subtree with the names bound above it
+        c, bound = todo.pop()
         if type(c) is CutNode:
-            todo += (c.chan, c.right, c.left)
-        elif type(c) is Thread:
-            out.append(pr.free_names(c.guard).union(
-                {i.chan for i in c.pending},
-                *(config_free_names(i.payload) - {i.bound}
-                  for i in c.pending if isinstance(i, ChanOut))))
-        else:  # the channel of a cut, once both of its sides are on `out`
-            out[-2:] = [(out[-2] | out[-1]) - {c}]
-    return out[0]
+            bound |= {c.chan}
+            todo += ((c.left, bound), (c.right, bound))
+            continue
+        out |= pr.free_names(c.guard) - bound
+        out.update(i.chan for i in c.pending if i.chan not in bound)
+        todo += [(i.payload, bound | {i.bound}) for i in c.pending if type(i) is ChanOut]
+    return frozenset(out)
 
 
 def _rebuild(c, arg, visit):
@@ -155,10 +154,12 @@ class _Fresh:
 
 def to_configuration(term_or_config, defs=None, fresh: _Fresh | None = None):
     """Normalize a configuration, or a bare term as a thread with nothing
-    pending, under the definitions ``defs``."""
+    pending, under the definitions ``defs``.  A term's binders get fresh names;
+    a configuration is taken as it is."""
+    fresh = fresh or _Fresh()
     if not isinstance(term_or_config, (Thread, CutNode)):
-        term_or_config = Thread((), term_or_config)
-    return normalize(term_or_config, defs or {}, fresh or _Fresh())
+        term_or_config = Thread((), pr.rename(term_or_config, {}, fresh))
+    return normalize(term_or_config, defs or {}, fresh)
 
 
 def push_items(c, items):
@@ -203,7 +204,7 @@ def _normalize(c, ctx):
     while type(c) is Thread and type(c.guard) in (Call, Select, Fork, Cut):
         guard = c.guard
         raw = (_unfold(guard, defs, fresh) if type(guard) is Call
-               else to_configuration_raw(guard, fresh))
+               else to_configuration_raw(guard))
         c = push_items(raw, c.pending)
     return (c, ctx, ctx) if type(c) is CutNode else c
 
@@ -218,39 +219,31 @@ def _unfold(call, defs, fresh):
     if hit is not None and hit[0] is d:
         return hit[1]
     n = fresh.n
-    raw = to_configuration_raw(pr.rename(d[1], dict(zip(d[0], call.args)), fresh), fresh)
+    raw = to_configuration_raw(pr.rename(d[1], dict(zip(d[0], call.args)), fresh))
     if fresh.n == n:  # nothing bound, so the same every time
         fresh.unfoldings[key] = d, raw
     return raw
 
 
-def to_configuration_raw(term, fresh):
-    """Strip output prefixes into pending lists and mirror cuts as tree nodes.
-
-    Each fork and cut binder gets a fresh name, carried down as a
-    substitution that renames each thread's guard once, at its leaf.
-    """
-    def build(t, sub):
+def to_configuration_raw(term):
+    """Strip output prefixes into pending lists and mirror cuts as tree nodes,
+    keeping every name: the term's binders are already fresh."""
+    def build(t):
         pending = []
         while True:
             if isinstance(t, Select):
-                pending.append(TagOut(sub.get(t.x, t.x), t.tag))
+                pending.append(TagOut(t.x, t.tag))
                 t = t.cont
             elif isinstance(t, Fork):
-                y = fresh(t.y)
-                pending.append(ChanOut(sub.get(t.x, t.x), y,
-                                       build(t.payload, {**sub, t.y: y})))
+                pending.append(ChanOut(t.x, t.y, build(t.payload)))
                 t = t.cont
             else:
                 break
         if isinstance(t, Cut):
-            x = fresh(t.x)
-            inner = {**sub, t.x: x}
-            node = CutNode(x, build(t.left, inner), build(t.right, inner))
-            return push_items(node, pending)
-        return Thread(tuple(pending), pr.rename(t, sub))
+            return push_items(CutNode(t.x, build(t.left), build(t.right)), pending)
+        return Thread(tuple(pending), t)
 
-    return build(term, {})
+    return build(term)
 
 
 def rename_config(c, old, new):
@@ -525,15 +518,13 @@ class RunResult:
 
 
 def run(term_or_config, defs=None, scheduler=None, max_steps=1000,
-        collect_trace=False, prefix_hook=None) -> RunResult:
+        collect_trace=False) -> RunResult:
     defs = defs or {}
     fresh = _Fresh()
     c = to_configuration(term_or_config, defs, fresh)
     sched = scheduler or MinMeasure()
     trace = []
     for n in range(max_steps):
-        if prefix_hook is not None and n % 10 == 0:
-            prefix_hook(c, n)
         if is_done(c):
             return RunResult("DoneReached", n, c, trace)
         redexes = enabled_redexes(c)

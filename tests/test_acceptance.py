@@ -250,16 +250,12 @@ def test_criterion_10_simulator():
     mu = measures.infer_measures(prog)
     failures = []
 
-    sampled = []
-
-    def hook(cfg, step):
-        if step % 10 == 0:
-            sampled.append(cfg)
-
-    res = runtime.run(prog.main, prog.defs, runtime.MinMeasure(mu),
-                      max_steps=200, prefix_hook=hook)
+    res = runtime.run(prog.main, prog.defs, runtime.MinMeasure(mu), max_steps=200)
     if res.outcome != "DoneReached":
         failures.append(f"minmeasure: {res.outcome}")
+    # the run is deterministic, so a shorter budget stops it at each sampled prefix
+    sampled = [runtime.run(prog.main, prog.defs, runtime.MinMeasure(mu), max_steps=k).final
+               for k in range(0, res.steps, 10)]
     for cfg in sampled:
         if not runtime.is_weakly_terminating_probe(cfg, prog.defs, 2000):
             failures.append("sampled prefix failed the termination probe")

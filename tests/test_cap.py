@@ -48,6 +48,20 @@ def test_def_free_name_mismatch():
         parse("sig A(x: end!)\ndef A(x) = close z")
 
 
+def test_cut_ids_count_in_pre_order():
+    # a cut is numbered before the cuts inside it, and the cuts of the
+    # definitions before those of the main term
+    nested = ("new x : end! >< end? { new x : end! >< end? { close x || wait x . close x } "
+              "|| wait x . CONT }")
+    main = parse(nested.replace("CONT", "done")).main
+    assert (main.cut_id, main.left.cut_id) == ("cut-x", "cut-x-2")
+    prog = parse("def D() = " + nested.replace("CONT", "done") + "\n"
+                 + nested.replace("CONT", "D()"))
+    body = prog.defs["D"][1]
+    assert (body.cut_id, body.left.cut_id) == ("cut-x", "cut-x-2")
+    assert (prog.main.cut_id, prog.main.left.cut_id) == ("cut-x-3", "cut-x-4")
+
+
 def test_to_configuration_splits_prefixes():
     prog = parse("sig P(x: +{ a: +{ b: end! } }, y: end?)\n"
                  "def P(x, y) = x!a.x!b.wait y.done")
@@ -138,6 +152,16 @@ def test_server_program_runs_to_done():
         assert res.outcome == "DoneReached", seed
 
 
+def test_each_binder_gets_one_fresh_name():
+    # the main cut and the server's cut are renamed once each, and nothing else
+    # draws a name on the way to done
+    prog = parse(fixtures.SERVER_PROGRAM)
+    res = runtime.run(prog.main, prog.defs, runtime.MinMeasure(measures.infer_measures(prog)),
+                      collect_trace=True)
+    assert res.outcome == "DoneReached"
+    assert {e["channel"] for e in res.trace if e["rule"] != "choice"} == {"x#1", "y#2"}
+
+
 def test_trace_format():
     prog = parse("new x : +{ a: end! } >< &{ a: end? } "
                  "{ x!a.close x || case x { a: wait x.done } }")
@@ -183,31 +207,27 @@ def _freshen(term, fresh):
     return term
 
 
-# Reference configuration builder: each fork or cut binder renames its
-# whole scope before the scope is built.
-def _to_configuration_raw(term, fresh):
+# Reference configuration builder: one prefix per call, its item added to
+# those of the prefixes before it; names stay as they are.
+def _to_configuration_raw(t, pending=()):
     P, R = process, runtime
+    if isinstance(t, P.Select):
+        return _to_configuration_raw(t.cont, pending + (R.TagOut(t.x, t.tag),))
+    if isinstance(t, P.Fork):
+        item = R.ChanOut(t.x, t.y, _to_configuration_raw(t.payload))
+        return _to_configuration_raw(t.cont, pending + (item,))
+    if isinstance(t, P.Cut):
+        node = R.CutNode(t.x, _to_configuration_raw(t.left), _to_configuration_raw(t.right))
+        return R.push_items(node, list(pending))
+    return R.Thread(pending, t)
 
-    def build(t):
-        pending = []
-        while True:
-            if isinstance(t, P.Select):
-                pending.append(R.TagOut(t.x, t.tag))
-                t = t.cont
-            elif isinstance(t, P.Fork):
-                y = fresh(t.y)
-                pending.append(R.ChanOut(t.x, y, build(P.rename(t.payload, {t.y: y}))))
-                t = t.cont
-            else:
-                break
-        if isinstance(t, P.Cut):
-            x = fresh(t.x)
-            node = R.CutNode(x, build(P.rename(t.left, {t.x: x})),
-                             build(P.rename(t.right, {t.x: x})))
-            return R.push_items(node, pending)
-        return R.Thread(tuple(pending), t)
 
-    return build(term)
+def _binders(t):
+    """How many fork, receive and cut binders ``t`` has."""
+    P = process
+    subterms = ([q for _, q in t.branches] if isinstance(t, P.Case) else
+                [getattr(t, f) for f in ("payload", "cont", "left", "right") if hasattr(t, f)])
+    return isinstance(t, (P.Fork, P.Join, P.Cut)) + sum(map(_binders, subterms))
 
 
 # binders that reuse a parameter's name, on forks, receives and cuts
@@ -242,10 +262,9 @@ def test_rename_with_fresh_matches_freshen_then_rename():
             assert got == process.rename(_freshen(body, ref), sub)
             assert new.n == ref.n
             for term in (body, got):
-                assert runtime.to_configuration_raw(term, new) \
-                    == _to_configuration_raw(term, ref)
-                assert new.n == ref.n
-    assert new.n > 50
+                assert runtime.to_configuration_raw(term) == _to_configuration_raw(term)
+    # one fresh name for each binder, in each of the two substitutions
+    assert new.n == 2 * sum(_binders(body) for _, body in bodies)
 
 
 # Reference redex enumeration: every cut lists the leaf threads of both of
@@ -354,7 +373,7 @@ def _normalize(c, defs, fresh):
         if isinstance(guard, P.Call):
             params, body = defs[guard.name]
             guard = _rename(body, dict(zip(params, guard.args)), fresh)
-        c = R.push_items(R.to_configuration_raw(guard, fresh), list(c.pending))
+        c = R.push_items(_to_configuration_raw(guard), list(c.pending))
     if isinstance(c, R.CutNode):
         return R.CutNode(c.chan, _normalize(c.left, defs, fresh),
                          _normalize(c.right, defs, fresh))
@@ -453,7 +472,7 @@ def test_one_walk_redexes_and_normalize_match_the_references(src):
                   runtime.RandomScheduler(7)):
         fresh, ref = runtime._Fresh(), runtime._Fresh()
         c = runtime.to_configuration(prog.main, prog.defs, fresh)
-        assert c == _normalize(runtime.Thread((), prog.main), prog.defs, ref)
+        assert c == _normalize(runtime.Thread((), _rename(prog.main, {}, ref)), prog.defs, ref)
         assert fresh.n == ref.n
         for _ in range(5000):
             redexes = runtime.enabled_redexes(c)

@@ -99,3 +99,35 @@ def test_runtime_records_are_not_assigned_after_construction():
                 if not isinstance(named, ast.Constant) or named.value in fields:
                     bad.append((os.path.basename(path), node.lineno))
     assert not bad, bad
+
+
+def test_recursion_is_an_allowed_decision():
+    # every other walk over terms and configurations is a loop; each function
+    # here recurses once per level of its input, which ``types.MAX_NESTING``
+    # caps, so a new self-call must be added to this list on purpose
+    allowed = {"types.Cursor._type", "process._term", "process.rename",
+               "process._check_guardedness.unfolded", "measures._walk",
+               "runtime.to_configuration_raw.build", "runtime.MinMeasure.term_measure"}
+    found = set()
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        todo = [(tree, os.path.basename(path)[:-3])]
+        while todo:
+            node, where = todo.pop()
+            for child in ast.iter_child_nodes(node):
+                if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    todo.append((child, where))
+                    continue
+                name = f"{where}.{child.name}"
+                todo.append((child, name))
+                # a call by the bare name, or on ``self`` or ``cls``; other
+                # attribute calls, such as ``object.__new__``, are not self-calls
+                if not isinstance(child, ast.ClassDef) and any(
+                        isinstance(c, ast.Call) and (
+                            getattr(c.func, "id", None) == child.name
+                            or getattr(c.func, "attr", None) == child.name
+                            and getattr(c.func.value, "id", None) in ("self", "cls"))
+                        for c in ast.walk(child)):
+                    found.add(name)
+    assert found == allowed
