@@ -42,4 +42,5 @@ var_t = ty.parse_type(fixtures.VARIANCE_TYPES, "T")
 v = relations.check(var_s, var_t, "fairsub")
 print(f"  fairsub -> {v.answer} ({v.reason})")
 for step in v.trace:
-    print(f"    [{step['clause']}] {step['pair'][0]}  |  {step['pair'][1]}")
+    a, b = map(ty.render_inline, step["pair"])
+    print(f"    [{step['clause']}] {a}  |  {b}")

@@ -70,7 +70,7 @@ def _print_verdict(args, v: relations.Verdict) -> int:
     if v.trace is not None:
         text.append("  counterexample:")
         for step in v.trace:
-            a, b = step["pair"]
+            a, b = map(ty.render_inline, step["pair"])
             label = step.get("label")
             text.append(f"    [{step['clause']}{' ' + str(label) if label else ''}] "
                         f"{a}  |  {b}")
@@ -127,9 +127,11 @@ def cmd_compose(args):
 
 
 def cmd_subtype(args):
-    v = relations.check(_load_type(args.file, args.left),
-                        _load_type(args.file, args.right),
-                        _REL_NAMES[args.rel], _budget(args))
+    S, T = _load_type(args.file, args.left), _load_type(args.file, args.right)
+    try:
+        v = relations.check(S, T, _REL_NAMES[args.rel], _budget(args))
+    except ValueError as e:  # a first-order relation asked of channel types
+        raise _Usage(str(e))
     return _print_verdict(args, v)
 
 

@@ -36,11 +36,12 @@ and the responder's channel answers are read from the label tables memoized
 on each side's root node (``lts.label_table``), and responses from the
 derivatives memoized beside them, so a pair costs only its own moves.
 
-A challenge is a tuple ``(clause, label, responses, note)``, and a response
-is ``(label, successor pairs)``; ``note`` says why a challenge has none.
-``check`` numbers the pairs by their root nodes, ``_extract_trace`` reads
-the clause, labels and note of the pairs it visits, and the validators call
-``_expand`` themselves; ``validate_witness`` keys the members by root nodes.
+A challenge is a tuple ``(clause, label, responses)``, and a response is
+``(label, successor pairs)``.  ``check`` numbers the pairs by their root
+nodes, and ``_extract_trace`` records the clause and labels of the pairs it
+visits in steps whose ``pair`` and ``next`` are ``(Type, Type)``; ``_note``
+explains only the unanswered challenge that ends a trace.  Types become
+text at output: in ``Verdict.to_json``, the CLI and the validators' messages.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ MODES = {
 
 # game -> clauses in the order they are played: (name, challenging side
 # (0 left, 1 right), challenge direction, response direction, channel
-# clause?, note when no channel answers).  The other side responds.
+# clause?, ``_note``'s text when no channel answers).  The other side responds.
 RULES = {
     "compose": (
         ("send-left", 0, "out", "in", False, None),
@@ -113,20 +114,26 @@ class Verdict:
                             for a, b in self.witness]
         if self.trace is not None:
             d["trace"] = [
-                {k: (str(v) if k in ("label", "response") and v is not None else v)
-                 for k, v in step.items() if k != "_next_key"}
+                {k: ([ty.render_inline(x) for x in v] if k in ("pair", "next")
+                     else str(v) if k in ("label", "response") and v is not None else v)
+                 for k, v in step.items()}
                 for step in self.trace
             ]
         return d
 
 
-def _measure_note(responder: Type, l, mode: str) -> str | None:
-    """Distinguish a missing tag from one enabled under another measure; ``l`` is not."""
-    if l.msg[0] == "tag":
-        for alt in lts.label_table(responder.node, l.direction, mode)[1]:
-            if alt.msg[:2] == l.msg[:2]:
-                return f"measure mismatch on tag {l.msg[1]!r}: {l.msg[2]} vs {alt.msg[2]}"
-    return None
+def _note(kind: str, pair, clause: str, label) -> str | None:
+    """Why ``clause``'s challenge ``label`` at ``pair`` has no response, or None."""
+    if clause == "must-output-reachability":
+        return "supertype reaches this output over must inputs; candidate cannot emit it now"
+    game, _, resp = MODES[kind][:3]
+    _, c, _, rd, is_chan, note = next(r for r in RULES[game] if r[0] == clause)
+    if not is_chan and label.msg[0] == "tag":  # missing, or under another measure?
+        _, tag, m = label.msg
+        for alt in lts.label_table(pair[1 - c].node, rd, resp)[1]:
+            if alt.msg[:2] == label.msg[:2]:
+                return f"measure mismatch on tag {tag!r}: {m} vs {alt.msg[2]}"
+    return note
 
 
 def _must_reachable_outputs(T: Type) -> list:
@@ -148,7 +155,7 @@ def _expand(kind: str, S: Type, T: Type):
     game, chal, resp, first_order, reach = MODES[kind]
     sides = (S, T)
     chs = []
-    for clause, c, cd, rd, is_chan, note in RULES[game]:
+    for clause, c, cd, rd, is_chan, _ in RULES[game]:
         if is_chan and first_order:
             continue
         X, Y = sides[c], sides[1 - c]
@@ -157,11 +164,11 @@ def _expand(kind: str, S: Type, T: Type):
                 m = l if cd == rd else l.flip()
                 y = lts.derivative(Y, m, resp)
                 if y is None:
-                    chs.append((clause, l, (), _measure_note(Y, m, resp)))
+                    chs.append((clause, l, ()))
                 else:
                     x = lts.derivative(X, l, chal)
                     pair = (y, x) if c else (x, y)
-                    chs.append((clause, l, ((m, (pair,)),), None))
+                    chs.append((clause, l, ((m, (pair,)),)))
                 continue
             # the same payload when both sides act alike, its dual when they
             # face each other: an empty choice derives it vacuously
@@ -175,13 +182,11 @@ def _expand(kind: str, S: Type, T: Type):
                 # (challenger's part, responder's part), put as (left, right)
                 succs = ((l.msg[1], m.msg[1]), (after, lts.derivative(Y, m, resp)))
                 rs.append((m, tuple(p[::-1] for p in succs) if c else succs))
-            chs.append((clause, l, rs, None if rs else note))
+            chs.append((clause, l, rs))
     if reach and lts.label_table(S.node, "out", "must")[1]:
         for tau in _must_reachable_outputs(T):
             if not lts.enabled(S, tau, "must"):
-                chs.append(("must-output-reachability", tau, (),
-                            "supertype reaches this output over must inputs; "
-                            "candidate cannot emit it now"))
+                chs.append(("must-output-reachability", tau, ()))
     # composition faces the right side's dual; subtyping compares it as is
     pol_ok = S.node.body[0] in ty.POSITIVE or \
         (T.node.body[0] in ty.POSITIVE) == (game == "compose")
@@ -217,7 +222,7 @@ def check(S: Type, T: Type, kind: str, budget: Budget | None = None) -> Verdict:
         else:
             pol_ok, chs = _expand(kind, *key)
             succs = []
-            for _, _, responses, _ in chs:
+            for _, _, responses in chs:
                 rs = []
                 for _, pairs in responses:
                     js = []
@@ -262,7 +267,7 @@ def check(S: Type, T: Type, kind: str, budget: Budget | None = None) -> Verdict:
         opt, removed = lts.prune(keys, lambda i, live: nodes[i] is None or holds(i, live),
                                  users)
     if 0 not in opt:
-        trace, reason = _extract_trace(nodes, order, removed)
+        trace, reason = _extract_trace(kind, nodes, order, removed)
         return Verdict(kind, "no", trace=trace, reason=reason, stats=stats,
                        warnings=warnings)
     caps = " and ".join(f"{c}={getattr(b, c)}" for c in sorted(cut))
@@ -285,34 +290,32 @@ def _extract_witness(nodes, order, good):
     return [order[i] for i in keep]
 
 
-def _extract_trace(nodes, order, removed):
+def _extract_trace(kind, nodes, order, removed):
     """Follow the optimistic game's removals from the root to a violation."""
     rank = {i: n for n, i in enumerate(removed)}
     steps = []
     i = 0
     while True:
         pol_ok, chs, succs = nodes[i]
-        pair_txt = [ty.render_inline(x) for x in order[i]]
         if not pol_ok:
-            steps.append({"pair": pair_txt, "clause": "polarity", "label": None,
+            steps.append({"pair": order[i], "clause": "polarity", "label": None,
                           "note": "both endpoints negative"})
             return steps, "polarity violation"
         cut = rank[i]
-        for (clause, label, resps, note), rs in zip(chs, succs):
+        for (clause, label, resps), rs in zip(chs, succs):
             hits = [[j for j in js if rank.get(j, cut) < cut] for js in rs]
             if all(hits):
                 break
         if not rs:
-            steps.append({"pair": pair_txt, "clause": clause, "label": label,
+            note = _note(kind, order[i], clause, label)
+            steps.append({"pair": order[i], "clause": clause, "label": label,
                           "note": note or "no response"})
             return steps, ("measure mismatch" if note and "measure" in note
                            else f"unanswered challenge in {clause}")
         r, nxt = min(((r, j) for r, js in zip(resps, hits) for j in js),
                      key=lambda p: rank[p[1]])
-        steps.append({"pair": pair_txt, "clause": clause, "label": label,
-                      "response": r[0],
-                      "_next_key": order[nxt],
-                      "next": [ty.render_inline(x) for x in order[nxt]]})
+        steps.append({"pair": order[i], "clause": clause, "label": label,
+                      "response": r[0], "next": order[nxt]})
         i = nxt
 
 
@@ -327,7 +330,7 @@ def validate_witness(kind: str, members: list) -> tuple[bool, str | None]:
         pol_ok, chs = _expand(kind, a, b)
         if not pol_ok:
             return False, f"polarity fails at ({ty.render_inline(a)}, {ty.render_inline(b)})"
-        for clause, label, resps, _ in chs:
+        for clause, label, resps in chs:
             for _, succs in resps:  # a response whose successors are all members
                 for x, y in succs:
                     if (x.node, y.node) not in keys:
@@ -351,7 +354,7 @@ def validate_counterexample(S: Type, T: Type, kind: str, trace: list) -> tuple[b
             if pol_ok:
                 return False, f"step {i}: polarity holds"
             return True, None
-        match = [resps for clause, label, resps, _ in chs
+        match = [resps for clause, label, resps in chs
                  if clause == step["clause"] and label == step["label"]]
         if not match:
             return False, f"step {i}: challenge not present at this pair"
@@ -360,7 +363,7 @@ def validate_counterexample(S: Type, T: Type, kind: str, trace: list) -> tuple[b
             if resps:
                 return False, f"step {i}: final challenge has responses"
             return True, None
-        nxt = step.get("_next_key")
+        nxt = step.get("next")
         resp = step.get("response")
         found = next((s for label, succs in resps if resp is None or label == resp
                       for s in succs if nxt is None or s == nxt), None)

@@ -45,18 +45,12 @@ class TagOut:
     chan: str
     tag: str
 
-    def __str__(self):
-        return f"{self.chan}!{self.tag}"
-
 
 @dataclass(slots=True, unsafe_hash=True)
 class ChanOut:
     chan: str
     bound: str
     payload: object  # Configuration
-
-    def __str__(self):
-        return f"{self.chan}!({self.bound}){{…}}"
 
 
 @dataclass(slots=True, unsafe_hash=True)

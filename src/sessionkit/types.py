@@ -483,20 +483,19 @@ def canonicalize(t: Type) -> Type:
 # fair termination
 
 
-def is_fairly_terminating(t: Type, detail: dict | None = None) -> bool:
+def is_fairly_terminating(t: Type) -> bool:
     """True iff every run can always still reach a terminated state.
 
     A node is terminated if it is 1/bot, or a choice with no branches: 0 and
-    ⊤ have no maximal runs, so they terminate vacuously, and they are listed
-    in ``detail['degenerate']``.  One backward search over continuation
-    edges, seeded with the terminated nodes, must mark every node reachable
-    from the root, payload types included; in a minimal table that is every
-    node.  That holds exactly when every terminal strongly connected
-    component of the continuation graph holds a terminated node.  The
-    answer is memoized on the root, and read back when no detail is asked.
+    ⊤ have no maximal runs, so they terminate vacuously.  One backward
+    search over continuation edges, seeded with the terminated nodes, must
+    mark every node reachable from the root, payload types included; in a
+    minimal table that is every node.  That holds exactly when every
+    terminal strongly connected component of the continuation graph holds a
+    terminated node.  The answer is memoized on the root.
     """
     memo = t.node.memo
-    if detail is None and "fair" in memo:
+    if "fair" in memo:
         return memo["fair"]
     nodes = t.nodes
     preds = [[] for _ in nodes]
@@ -509,9 +508,6 @@ def is_fairly_terminating(t: Type, detail: dict | None = None) -> bool:
         else:
             for _, _, c in b[1]:
                 preds[c].append(n)
-    if detail is not None:
-        detail.setdefault("degenerate", []).extend(
-            n for n in done if nodes[n][0] in ("plus", "with"))
     marked = set(done)
     for n in done:  # grows while it is walked
         for p in preds[n]:

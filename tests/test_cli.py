@@ -12,7 +12,7 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sessionkit import cli, fixtures
+from sessionkit import cli, fixtures, relations
 from sessionkit import types as ty
 
 
@@ -52,6 +52,19 @@ LOOP_PROGRAMS = [
 def run(capsys, *argv):
     code = cli.main(list(argv))
     return code, capsys.readouterr().out
+
+
+def test_first_order_relations_refuse_channel_types(capsys, tmp_path):
+    p = tmp_path / "ho.st"
+    p.write_text("type A = !(end!) . end!")
+    for rel, kind in sorted(cli._REL_NAMES.items()):
+        code = cli.main(["subtype", "--rel", rel, str(p), "A", "A"])
+        out, err = capsys.readouterr()
+        if relations.MODES[kind][3]:
+            assert (code, out, err) == (3, "", f"error: {kind} is defined for first-order "
+                                               "types only\n"), rel
+        else:
+            assert code == 0 and "yes" in out, rel
 
 
 def test_subtype_yes_exit_0(capsys, sat):
@@ -376,7 +389,9 @@ def test_cli_survives_mutated_programs(src):
 
 
 _TYPE_FILES = [fixtures.SLOT_TYPES, fixtures.SATELLITE_TYPES, fixtures.ASYNC_TYPES,
-               fixtures.VARIANCE_TYPES]
+               fixtures.VARIANCE_TYPES,
+               # channel actions, which the first-order relations refuse
+               next(f["types"] for f in fixtures.corpus() if f["name"] == "output-anticipation")]
 _MACHINES = [fixtures.QM_COUNTDOWN, fixtures.QM_LOOP]
 _JSON_TOKEN = re.compile(r'"[^"]*"|[][{}:,]|[^][{}:,\s"]+')
 # renaming a word or a string keeps the syntax, so the commands get past
@@ -416,7 +431,8 @@ def test_cli_survives_mutated_types_and_machines(case):
                      ["labels", path, left, "--dir", "out", "--mode", "ind"],
                      ["step", path, left, "--label", label],
                      ["compose", path, left, right, *small],
-                     ["subtype", "--rel", "fair", path, left, right, *small],
+                     *(["subtype", "--rel", rel, path, left, right, *small]
+                       for rel in cli._REL_NAMES),
                      ["crosscheck", path, left, right, *small],
                      ["qm-encode", mpath, "--input", word],
                      ["qm-sim", mpath, "--input", word, "--max-steps", "30"]):

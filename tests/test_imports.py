@@ -60,6 +60,23 @@ def test_equiv_runs_only_as_the_oracle():
     assert calls and all(c[:2] == ("lts.py", "fas_oracle") for c in calls), calls
 
 
+def test_the_game_makes_no_text():
+    # the game records moves and types; a verdict becomes text only at output
+    # (``Verdict.to_json``, the CLI, validator messages), so no function of
+    # the game path names a renderer, whether it calls it or passes it on
+    game = {"_expand", "check", "_extract_witness", "_extract_trace", "_note"}
+    with open(os.path.join(SRC, "relations.py")) as fh:
+        tree = ast.parse(fh.read())
+    found, named = set(), []
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name in game:
+            found.add(top.name)
+            named += [(top.name, node.lineno) for node in ast.walk(top)
+                      if str(getattr(node, "id", None) or getattr(node, "attr", None))
+                      .startswith("render")]
+    assert found == game and not named, named
+
+
 def test_runtime_records_are_not_assigned_after_construction():
     # the records are slotted, not frozen, and the probe's ``seen`` set hashes
     # them: their fields are set in their constructors and never again; the

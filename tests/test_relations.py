@@ -322,7 +322,7 @@ MIRRORED = {"send-left": "send-sub", "send-right": "receive-sup",
 def _shape(expansion, rename=lambda clause: clause):
     pol_ok, chs = expansion
     return pol_ok, Counter((rename(clause), label.msg[0], len(responses))
-                           for clause, label, responses, _ in chs)
+                           for clause, label, responses in chs)
 
 
 @given(st.integers(0, 10**9), st.booleans(), st.booleans())
@@ -353,7 +353,7 @@ class _Challenge:
 
 
 def _view_measure_note(responder, l, mode):
-    """Reference for relations._measure_note: a walk of the responder's view."""
+    """Reference for relations._note on tags: a walk of the responder's view."""
     if l.msg[0] != "tag":
         return None
     name, m = l.msg[1], l.msg[2]
@@ -436,13 +436,67 @@ def test_expand_matches_dataclass_reference(seed, higher_order, mutant):
             pol_ok, chs = relations._expand(kind, *pair)
             ref_ok, ref = _dataclass_expand(kind, *pair)
             assert pol_ok == ref_ok
-            assert [(clause, label, [(m, list(succs)) for m, succs in responses], note)
-                    for clause, label, responses, note in chs] == \
-                [(ch.clause, ch.label, [(r.label, r.succs) for r in ch.responses], ch.note)
+            assert [(clause, label, [(m, list(succs)) for m, succs in responses])
+                    for clause, label, responses in chs] == \
+                [(ch.clause, ch.label, [(r.label, r.succs) for r in ch.responses])
                  for ch in ref], kind
-            for _, _, responses, _ in chs:
+            for (clause, label, responses), ch in zip(chs, ref):
+                if not responses:  # the explanation a trace would end with
+                    assert relations._note(kind, pair, clause, label) == ch.note, kind
+            for _, _, responses in chs:
                 for _, succs in responses:
                     for p in succs:
                         if p not in seen and len(queue) < 12:
                             seen.add(p)
                             queue.append(p)
+
+
+def _shared_chain(levels):
+    """T_i = +{ a: T_i+1, b: T_i+1 } down to end!, against the same chain of
+    external choices down to &{ c: end? }: the pairs' written text doubles
+    per level, as both branches reach one shared node, while the game is a
+    path of ``levels + 1`` pairs that compose answers no to."""
+    decls = "\n".join(f"type T{i} = +{{ a: T{i + 1}, b: T{i + 1} }}  "
+                      f"type U{i} = &{{ a: U{i + 1}, b: U{i + 1} }}" for i in range(levels))
+    decls += f"\ntype T{levels} = end!  type U{levels} = &{{ c: end? }}"
+    return ty.parse_type(decls, "T0"), ty.parse_type(decls, "U0")
+
+
+def test_the_game_renders_no_text(monkeypatch):
+    # check and the validators keep moves and types; a verdict becomes text
+    # only when it is printed, so a no costs its game and not its rendering
+    cases = [(f["relation"], fixtures._resolve(f["types"], f["left"]),
+              fixtures._resolve(f["types"], f["right"]), None)
+             for f in fixtures.corpus() if f["kind"] == "relation"]
+    tight = relations.Budget(max_pairs=3, max_nodes_per_type=5)
+    for seed in range(40):
+        rng = random.Random(seed)
+        S = randgen.random_tractable(rng, 6, higher_order=seed % 3 == 0)
+        T = (randgen.mutate(rng, S) if seed % 2
+             else randgen.random_tractable(rng, 6, higher_order=seed % 3 == 0))
+        for kind in relations.KINDS:
+            if not relations.MODES[kind][3] or ty.is_first_order(S) and ty.is_first_order(T):
+                cases += [(kind, S, T, None), (kind, S, T, tight)]
+    chain = _shared_chain(19)
+
+    def refuse(t):
+        raise AssertionError("a type was rendered during the game")
+
+    monkeypatch.setattr(ty, "render_inline", refuse)
+    verdicts = []
+    for kind, S, T, budget in cases + [("compose", *chain, None)]:
+        v = relations.check(S, T, kind, budget)
+        if v.answer == "yes":
+            assert relations.validate_witness(kind, v.witness) == (True, None)
+        elif v.answer == "no":
+            assert relations.validate_counterexample(S, T, kind, v.trace) == (True, None)
+        verdicts.append((kind, v))
+    monkeypatch.undo()
+    assert {kind for kind, _ in verdicts} == set(relations.KINDS)
+    assert {v.answer for _, v in verdicts} == {"yes", "no", "unknown"}
+    last = verdicts.pop()[1]
+    assert last.answer == "no" and len(last.trace) == 20
+    assert last.trace[0]["pair"] == chain
+    assert all(a["next"] == b["pair"] for a, b in zip(last.trace, last.trace[1:]))
+    for _, v in verdicts:  # the chain's trace would render 2^19 nodes
+        json.dumps(v.to_json())

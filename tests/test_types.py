@@ -203,17 +203,13 @@ def test_measures_distinguish():
 
 
 def test_fair_termination():
-    detail = {}
-    assert ty.is_fairly_terminating(ty.parse_type("type S = +{ a: S, b: end! }"), detail)
-    assert not detail["degenerate"]
+    assert ty.is_fairly_terminating(ty.parse_type("type S = +{ a: S, b: end! }"))
 
     assert not ty.is_fairly_terminating(ty.parse_type("type S = +{ a: S }"))
 
-    # 0 and ⊤ have no maximal runs at all: vacuously terminating, flagged
+    # 0 and ⊤ have no maximal runs at all: vacuously terminating
     for src in ("type Z = +{}", "type X = &{}"):
-        detail = {}
-        assert ty.is_fairly_terminating(ty.parse_type(src), detail)
-        assert detail["degenerate"]
+        assert ty.is_fairly_terminating(ty.parse_type(src))
 
 
 def test_fair_termination_payload_counts():
@@ -254,9 +250,7 @@ def fairly_terminating_raw(raw, root=0):
                  ho_types_st.map(lambda t: dict(enumerate(t.nodes)))))
 @settings(max_examples=300, deadline=None)
 def test_fair_termination_matches_forward_search(raw):
-    t, detail = ty.Type(raw), {}
-    assert ty.is_fairly_terminating(t, detail) == fairly_terminating_raw(raw)
-    assert all(t.nodes[n] in (("plus", ()), ("with", ())) for n in detail["degenerate"])
+    assert ty.is_fairly_terminating(ty.Type(raw)) == fairly_terminating_raw(raw)
 
 
 @given(st.one_of(raw_tables(), deep_tables(max_nodes=30)))
@@ -274,7 +268,6 @@ def test_root_facts_match_fresh_computation(raw):
     for n in t.key().reach():
         n.memo.clear()  # each fact computed with nothing memoized
     assert [facts(u) for u in reversed(subs)] == warm[::-1]
-    assert [ty.is_fairly_terminating(u, {}) for u in subs] == [f[1] for f in warm]
     assert warm[0][1] == fairly_terminating_raw(raw)
     assert warm[0][2] == all(b[0] not in ("times", "par") for b in t.nodes)
 
